@@ -41,6 +41,8 @@ REPEATS = int(os.environ.get("REPRO_FASTPATH_BENCH_REPEATS", "5"))
 FUSED_BATCH = int(os.environ.get("REPRO_FASTPATH_BENCH_BATCH", "256"))
 SPEEDUP_FLOOR = 10.0
 V2_SPEEDUP_FLOOR = 60.0
+#: ROADMAP target: one request on tier 2 is at least as fast as tier 1.
+V2_SINGLE_FLOOR = 1.0
 
 
 def _sparse_spec(n_in=256, n_out=32, density=0.1, seed=0):
@@ -69,6 +71,18 @@ def _encodings():
     yield "dense-unroll4", generate_dense_unrolled(_dense_spec(), unroll=4)
     for fmt in SPARSE_FORMATS:
         yield f"sparse-{fmt}", generate_sparse(_sparse_spec(), fmt)
+
+
+def _block_784x64():
+    """A block-encoded layer shaped like the mnist-small hidden layer."""
+    rng = np.random.default_rng(0)
+    spec = make_neuroc_spec(
+        adjacency=clustered_adjacency(784, 64, 0.1, rng),
+        bias=rng.integers(-3, 4, 64).astype(np.int32),
+        mult=rng.integers(2000, 28000, 64).astype(np.int16),
+        shift=19, act_in_width=1, act_out_width=1, relu=True,
+    )
+    return generate_sparse(spec, "block")
 
 
 def _fill_input(image, spec_n_in=256, seed=1):
@@ -253,4 +267,55 @@ def test_fastpath_v2_speedup_geomean():
     assert fused_geomean >= V2_SPEEDUP_FLOOR, (
         f"fused geomean speedup {fused_geomean:.1f}x is below the "
         f"{V2_SPEEDUP_FLOOR:.0f}x acceptance floor"
+    )
+
+
+def test_fastpath_v2_single_request_not_slower_than_tier1():
+    """Tier-2 row at batch 1: a single specialized run vs tier 1.
+
+    Covers every encoding plus a 784x64 block layer, the shape whose
+    per-neuron emission once made tier 2 slower than tier 1 for one
+    request.  Each row must meet the floor on its own.
+    """
+    rows = []
+    for name, image in [*_encodings(), ("block-784x64", _block_784x64())]:
+        _fill_input(image)
+        tier1 = make_cpu(
+            image.memory, costs=STM32F072RB.costs, engine="fastpath"
+        )
+        tier2 = make_cpu(
+            image.memory, costs=STM32F072RB.costs, engine="fastpath-v2"
+        )
+        t1_s, t1_result = _best_seconds(tier1, image.program)
+        v2_s, v2_result = _best_seconds(tier2, image.program)
+        assert tier2.last_engine == "fastpath-v2", name
+        _assert_exact(name, v2_result, t1_result)
+        rows.append({
+            "encoding": name,
+            "fastpath_s": t1_s,
+            "v2_single_s": v2_s,
+            "v2_over_tier1": t1_s / v2_s,
+        })
+
+    lines = [f"{'encoding':16s} {'tier1 us':>10s} {'tier2 us':>10s} "
+             f"{'ratio':>7s}"]
+    for r in rows:
+        lines.append(
+            f"{r['encoding']:16s} {r['fastpath_s'] * 1e6:10.1f} "
+            f"{r['v2_single_s'] * 1e6:10.1f} {r['v2_over_tier1']:6.1f}x"
+        )
+    lines.append(f"floor: tier 2 >= {V2_SINGLE_FLOOR:.0f}x tier 1 per row")
+    emit("fastpath_v2_single", "\n".join(lines))
+    _merge_results({
+        "v2_single": {
+            "repeats": REPEATS,
+            "floor": V2_SINGLE_FLOOR,
+            "encodings": rows,
+        },
+    })
+
+    slow = [r["encoding"] for r in rows
+            if r["v2_over_tier1"] < V2_SINGLE_FLOOR]
+    assert not slow, (
+        f"tier 2 slower than tier 1 for one request on {slow}"
     )

@@ -85,16 +85,19 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from repro.datasets import load
+    from repro.datasets import dataset_features, load
     from repro.deploy.serialization import load_quantized_model
 
     model = load_quantized_model(args.model)
-    dataset = load(args.dataset)
-    if dataset.num_features != model.n_in:
+    # Checked from the registry's metadata: generating a large dataset
+    # only to reject it would cost seconds.
+    features = dataset_features(args.dataset)
+    if features != model.n_in:
         raise ReproError(
             f"model expects {model.n_in} features but {args.dataset} "
-            f"has {dataset.num_features}"
+            f"has {features}"
         )
+    dataset = load(args.dataset)
     accuracy = model.accuracy(dataset.x_test, dataset.y_test)
     print(f"int8 accuracy on {args.dataset}: {accuracy:.4f}")
     return 0

@@ -13,6 +13,7 @@ Load with :func:`repro.datasets.load`.
 from repro.datasets.base import (
     Dataset,
     clear_cache,
+    dataset_features,
     dataset_names,
     load,
     register_dataset,
@@ -30,6 +31,7 @@ __all__ = [
     "Dataset",
     "EVALUATION_DATASETS",
     "clear_cache",
+    "dataset_features",
     "dataset_names",
     "load",
     "make_cifar5_like",

@@ -85,20 +85,40 @@ def interleave_classes(
     return x, y
 
 
-_GENERATORS: dict[str, callable] = {}
+#: name -> (generator, image_shape)
+_GENERATORS: dict[str, tuple[callable, tuple[int, ...]]] = {}
 _CACHE: dict[tuple, Dataset] = {}
 
 
-def register_dataset(name: str):
-    """Decorator: register ``fn(n_train, n_test, seed) -> Dataset``."""
+def register_dataset(name: str, image_shape: tuple[int, ...]):
+    """Decorator: register ``fn(n_train, n_test, seed) -> Dataset``.
+
+    ``image_shape`` is the geometry every generated sample has, so the
+    feature count is known without generating anything.
+    """
 
     def decorate(fn):
         if name in _GENERATORS:
             raise ConfigurationError(f"duplicate dataset {name!r}")
-        _GENERATORS[name] = fn
+        _GENERATORS[name] = (fn, tuple(image_shape))
         return fn
 
     return decorate
+
+
+def _registered(name: str) -> tuple[callable, tuple[int, ...]]:
+    try:
+        return _GENERATORS[name]
+    except KeyError:
+        known = ", ".join(sorted(_GENERATORS))
+        raise ConfigurationError(
+            f"unknown dataset {name!r}; known: {known}"
+        ) from None
+
+
+def dataset_features(name: str) -> int:
+    """Features per sample of a registered dataset, from its metadata."""
+    return int(np.prod(_registered(name)[1]))
 
 
 def load(
@@ -109,13 +129,7 @@ def load(
 
     ``n_train``/``n_test`` default to each generator's standard sizes.
     """
-    try:
-        generator = _GENERATORS[name]
-    except KeyError:
-        known = ", ".join(sorted(_GENERATORS))
-        raise ConfigurationError(
-            f"unknown dataset {name!r}; known: {known}"
-        ) from None
+    generator, _ = _registered(name)
     key = (name, n_train, n_test, seed)
     if key not in _CACHE:
         _CACHE[key] = generator(n_train=n_train, n_test=n_test, seed=seed)

@@ -81,7 +81,7 @@ def _generate(count: int, rng: np.random.Generator):
     return interleave_classes(images, labels)
 
 
-@register_dataset("cifar5_like")
+@register_dataset("cifar5_like", image_shape=(IMAGE_SIZE, IMAGE_SIZE, 3))
 def make_cifar5_like(
     n_train: int | None = None, n_test: int | None = None, seed: int = 0
 ) -> Dataset:

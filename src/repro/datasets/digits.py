@@ -32,7 +32,7 @@ def _generate(count: int, rng: np.random.Generator):
     return interleave_classes(images, labels)
 
 
-@register_dataset("digits_like")
+@register_dataset("digits_like", image_shape=(IMAGE_SIZE, IMAGE_SIZE))
 def make_digits_like(
     n_train: int | None = None, n_test: int | None = None, seed: int = 0
 ) -> Dataset:

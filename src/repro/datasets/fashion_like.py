@@ -46,7 +46,7 @@ def _generate(count: int, rng: np.random.Generator):
     return interleave_classes(images, labels)
 
 
-@register_dataset("fashion_like")
+@register_dataset("fashion_like", image_shape=(IMAGE_SIZE, IMAGE_SIZE))
 def make_fashion_like(
     n_train: int | None = None, n_test: int | None = None, seed: int = 0
 ) -> Dataset:

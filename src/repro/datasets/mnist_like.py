@@ -50,7 +50,7 @@ def _generate(count: int, rng: np.random.Generator):
     return interleave_classes(images, labels)
 
 
-@register_dataset("mnist_like")
+@register_dataset("mnist_like", image_shape=(IMAGE_SIZE, IMAGE_SIZE))
 def make_mnist_like(
     n_train: int | None = None, n_test: int | None = None, seed: int = 0
 ) -> Dataset:

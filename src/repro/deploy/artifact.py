@@ -91,10 +91,6 @@ class DeployedModel:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; known: {ENGINES}"
             )
-        # A tier the board's capability flags gate out (e.g. fastpath-v2
-        # on a board without a hardware multiplier) degrades to the best
-        # supported one — bit-identical results, only host speed differs.
-        engine = board.resolve_engine(engine)
         self.quantized = quantized
         self.format_name = format_name
         self.board = board
@@ -188,7 +184,6 @@ class DeployedModel:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; known: {ENGINES}"
             )
-        engine = self.board.resolve_engine(engine)
         if engine != self.engine:
             self.engine = engine
             self._cpu = make_cpu(

@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.mcu.cpu import CycleCosts
 from repro.mcu.memory import MemoryMap, Region
 
-#: Engine tiers a board may support, best (most specialized) first.
+#: Engine tiers, best (most specialized) first; every board hosts all.
 _TIERED_ENGINES = ("fastpath-v2", "fastpath", "interpreter")
 
 
@@ -41,10 +41,8 @@ class BoardProfile:
     costs: CycleCosts = field(default_factory=CycleCosts)
     has_fpu: bool = False
     has_dsp: bool = False
-    #: Hardware multiplier (Cortex-M MULS, RISC-V "M" extension).  The
-    #: tier-2 batch-fused engine models its accumulator chains as
-    #: multiply-accumulate sweeps, so boards without a multiplier cap at
-    #: tier 1 (see :meth:`supported_engines`).
+    #: Hardware multiplier (Cortex-M MULS, RISC-V "M" extension).  Part
+    #: of the board's identity (artifact hashes); it selects no engine.
     has_muls: bool = True
     #: Memory-map bases.  ARM parts map flash at ``0x0800_0000`` and SRAM
     #: at ``0x2000_0000``; other cores may differ (the RISC-V profile puts
@@ -97,23 +95,14 @@ class BoardProfile:
     def supported_engines(self) -> tuple[str, ...]:
         """Execution engines this board can host, best tier first.
 
-        Tier 2 (``fastpath-v2``) requires a hardware multiplier; tier 1
-        and the reference interpreter run everywhere.  Both remaining
-        engines stay bit-identical, so gating a tier never changes any
-        simulated number — only host-side speed.
+        Every board hosts every tier: the engines are host-side
+        translations, bit-identical to the interpreter, so no simulated
+        hardware capability selects among them.
         """
-        if self.has_muls:
-            return _TIERED_ENGINES
-        return _TIERED_ENGINES[1:]
+        return _TIERED_ENGINES
 
     def resolve_engine(self, engine: str | None = None) -> str:
-        """Clamp ``engine`` to this board's best supported tier.
-
-        ``None`` picks the board's best tier at or below the library
-        default.  A requested tier the board cannot host degrades to the
-        next supported one (never upgrades: asking for the interpreter
-        always yields the interpreter).
-        """
+        """``engine`` validated, or the library default for ``None``."""
         from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES
 
         requested = engine or DEFAULT_ENGINE
@@ -121,15 +110,7 @@ class BoardProfile:
             raise ConfigurationError(
                 f"unknown engine {requested!r}; known: {ENGINES}"
             )
-        supported = self.supported_engines()
-        if requested in supported:
-            return requested
-        # Degrade from the requested tier downward.
-        start = _TIERED_ENGINES.index(requested)
-        for candidate in _TIERED_ENGINES[start:]:
-            if candidate in supported:
-                return candidate
-        return "interpreter"
+        return requested
 
     # -- factories --------------------------------------------------------
 

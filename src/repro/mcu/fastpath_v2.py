@@ -28,13 +28,18 @@ tier 1's per-block static totals verbatim and stays bit-identical to
 the interpreter.
 
 The recorded expression DAG is then emitted as one NumPy function over
-2-D ``(batch, region_size)`` uint8 arrays: constant offsets and indices
-are folded into literal column gathers, unrolled ternary fan-in
-collapses into affine accumulators materialized as an int64
-gather-matmul (``D[:, idx] @ coefs``), and the whole admitted batch
-runs in a single call.  int64 accumulation is exact mod 2**32 even
-when it wraps (2**32 divides 2**64), and every uint32 array operation
-wraps exactly like the interpreter's ``& 0xFFFFFFFF``.
+2-D ``(batch, region_size)`` uint8 arrays whose cost scales with the
+number of layers, not neurons (:class:`_LayerEmitter`): loaded
+activations — sign-extended ones included — are gathered into one
+matrix, every needed affine accumulator (partial sums a kernel spills
+and reloads are inlined away) becomes one column of a single ``X @ W``
+product, and each step of the per-neuron rescale / bias / ReLU /
+saturate chain runs as one lane-wide operation over all neurons.  The
+product runs in float BLAS only when the frozen weights bound every
+partial sum below the type's exact-integer limit, else in int64, which
+is exact mod 2**32 even when it wraps (2**32 divides 2**64); every
+uint32 lane operation wraps exactly like the interpreter's
+``& 0xFFFFFFFF``.  The whole admitted batch runs in a single call.
 
 Batch semantics are *sequential-equivalent*: running ``fn`` over a
 batch leaves row ``k``'s final RAM equal to what ``k`` sequential runs
@@ -75,14 +80,6 @@ _MASK32 = 0xFFFF_FFFF
 #: whose single execution exceeds it decline to tier 1 (the trace would
 #: dominate translation time without bounding emitted code size).
 TRACE_BUDGET = 1_500_000
-
-#: Affine terms over one (region, width) load group below this count are
-#: emitted as scalar column multiplies; at or above it they become one
-#: int64 gather-matmul.
-_MATMUL_MIN = 4
-
-#: Scalar parts folded into one emitted accumulation statement.
-_SUM_CHUNK = 24
 
 
 def specialization_hash(memory: MemoryMap) -> str:
@@ -247,6 +244,15 @@ def _mk(base: int, terms: dict):
     return _Sym(base, terms)
 
 
+def _accumulate(terms: dict, nid: int, coef: int) -> None:
+    """``terms[nid] += coef`` mod 2**32, dropping a zero coefficient."""
+    merged = _srep(terms.get(nid, 0) + coef)
+    if merged:
+        terms[nid] = merged
+    else:
+        terms.pop(nid, None)
+
+
 def _v_add(a, b):
     if isinstance(a, int) and isinstance(b, int):
         return (a + b) & _MASK32
@@ -258,11 +264,7 @@ def _v_add(a, b):
             continue
         base += value.base
         for nid, coef in value.terms.items():
-            merged = _srep(terms.get(nid, 0) + coef)
-            if merged:
-                terms[nid] = merged
-            else:
-                terms.pop(nid, None)
+            _accumulate(terms, nid, coef)
     return _mk(base, terms)
 
 
@@ -613,9 +615,7 @@ class _Specializer:
                 continue
             else:
                 nid = cell[1]
-            coef = _srep(terms.get(nid, 0) + (1 << shift))
-            if coef:
-                terms[nid] = coef
+            _accumulate(terms, nid, 1 << shift)
         value = _mk(base, terms)
         if signed:
             # The recomposed value is < 2**(8*width): each byte term
@@ -647,27 +647,34 @@ class _Specializer:
         self, bc: list, tk: list, regs: list, executed: int
     ) -> SpecializedProgram:
         base = self.base
-        dag = self.dag
-        reg_refs = [_materialize(dag, value) for value in regs]
+        reg_refs = [_materialize(self.dag, value) for value in regs]
         writebacks: list[tuple[int, int, object]] = []
         for j, overlay in enumerate(self.overlay):
             for off in sorted(overlay):
                 writebacks.append((j, off, overlay[off]))
-
-        roots = [ref[1] for ref in reg_refs if ref[0] == "n"]
-        roots += [
-            cell[1]
-            for _, _, cell in writebacks
-            if isinstance(cell, tuple)
-        ]
-        reachable = self._reachable(roots)
-        fn, source = self._emit(reg_refs, writebacks, reachable)
+        emitter = _LayerEmitter(self.dag.nodes, self.regions)
+        source = emitter.emit(reg_refs, writebacks)
+        namespace: dict = {
+            "_np": np,
+            "_U32": np.uint32,
+            "_I32": np.int32,
+            "_I64": np.int64,
+            "_F32": np.float32,
+            "_F64": np.float64,
+            "_bytes": _lane_bytes,
+            **_VIEW_NAMES,
+            **emitter.consts,
+        }
+        code = compile(
+            source, f"<fastpath-v2:{self.program.name}>", "exec"
+        )
+        exec(code, namespace)  # noqa: S102 - our own generated source
 
         cycles = sum(base.block_cycles(bc, tk))
         return SpecializedProgram(
             program=self.program,
             base=base,
-            fn=fn,
+            fn=namespace["_fastpath_v2"],
             source=source,
             cycles=cycles,
             instructions=executed,
@@ -684,198 +691,401 @@ class _Specializer:
             dirty_cells=frozenset(self.dirty),
         )
 
-    def _reachable(self, roots: list) -> set:
-        nodes = self.dag.nodes
-        seen: set = set()
-        stack = list(roots)
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            node = nodes[nid]
-            kind = node[0]
-            if kind in ("sex", "byte"):
-                stack.append(node[1])
-            elif kind == "bin":
-                for operand in (node[2], node[3]):
-                    if isinstance(operand, tuple) and operand[0] == "n":
-                        stack.append(operand[1])
-            elif kind == "aff":
-                stack.extend(nid for nid, _ in node[2])
-        return seen
 
-    def _emit(self, reg_refs, writebacks, reachable):
-        dag = self.dag
-        nodes = dag.nodes
-        consts: dict[str, np.ndarray] = {}
+# -- layer-level emission --------------------------------------------------
 
-        def const(array, dtype) -> str:
-            name = f"_K{len(consts)}"
-            consts[name] = np.asarray(array, dtype=dtype)
-            return name
+#: Little-endian element type, variable name in the generated code, and
+#: largest magnitude of each atom matrix, keyed by (width, signed).
+_ATOM_VIEWS = {
+    (1, False): (np.dtype("u1"), "_V1u", (1 << 8) - 1),
+    (1, True): (np.dtype("i1"), "_V1s", 1 << 7),
+    (2, False): (np.dtype("<u2"), "_V2u", (1 << 16) - 1),
+    (2, True): (np.dtype("<i2"), "_V2s", 1 << 15),
+    (4, False): (np.dtype("<u4"), "_V4u", (1 << 32) - 1),
+    (4, True): (np.dtype("<i4"), "_V4s", 1 << 31),
+}
+_VIEW_NAMES = {name: dtype for dtype, name, _ in _ATOM_VIEWS.values()}
 
-        positions = {}
-        for j, region in enumerate(self.regions):
-            if region.writable:
-                positions[j] = len(positions)
+#: BLAS product types, narrowest first, with the magnitude below which
+#: every integer is exact (2 ** significand bits).
+_FLOAT_PRODUCTS = (
+    (np.float32, "_F32", 1 << 24),
+    (np.float64, "_F64", 1 << 53),
+)
 
-        # Group reachable load atoms into per-(region, width) matrices.
-        groups: dict[tuple[int, int], list[int]] = {}
-        for nid in sorted(reachable):
-            node = nodes[nid]
-            if node[0] == "load":
-                groups.setdefault((node[1], node[3]), []).append(nid)
-        column: dict[int, int] = {}
-        for key, members in groups.items():
-            members.sort(key=lambda nid: nodes[nid][2])
-            for col, nid in enumerate(members):
-                column[nid] = col
-        self._columns = column
+_BIN_SYMBOLS = {"and": "&", "or": "|", "xor": "^", "mul": "*"}
 
+
+def _lane_bytes(group: np.ndarray) -> np.ndarray:
+    """``(batch, 4 * lanes)`` little-endian bytes of a uint32 lane group."""
+    return np.ascontiguousarray(group, dtype="<u4").view(np.uint8)
+
+
+def _operand_ids(node: tuple) -> tuple:
+    kind = node[0]
+    if kind in ("sex", "byte"):
+        return (node[1],)
+    if kind == "bin":
+        return tuple(
+            ref[1] for ref in node[2:]
+            if isinstance(ref, tuple) and ref[0] == "n"
+        )
+    if kind == "aff":
+        return tuple(nid for nid, _ in node[2])
+    return ()
+
+
+class _LayerEmitter:
+    """Emits a specialized DAG as layer-level NumPy statements.
+
+    Values live in *lane groups*: ``(batch, lanes)`` uint32 arrays,
+    named ``g<k>``.  Group 0 is the affine product: every value that is
+    affine in the loaded *atoms* (unsigned loads and sign-extended
+    loads, gathered into one integer matrix per region, width and
+    signedness) is one column of a single ``X @ W`` per program.
+    Affine nodes that only feed other affine nodes are inlined into
+    them (exact mod 2**32), so partial accumulators a kernel spills to
+    RAM and reloads never reach the output.  Every other needed node
+    joins the group of its shape — kind, operator, shift or byte index,
+    and the group of each operand — so one statement computes the same
+    step of every neuron's post-accumulation chain, with per-lane
+    constants as constant vectors.  Writebacks are one fancy-index
+    store per (region, source group).
+    """
+
+    def __init__(self, nodes: list, regions) -> None:
+        self.nodes = nodes
+        writable = [j for j, region in enumerate(regions) if region.writable]
+        self.positions = {j: k for k, j in enumerate(writable)}
+        self.consts: dict[str, np.ndarray] = {}
+        #: node id -> (group, lane)
+        self.loc: dict[int, tuple[int, int]] = {}
+        #: Group-0 columns: (atom id -> coefficient, base).
+        self.columns: list[tuple[dict, int]] = []
+        self.groups: dict[tuple, int] = {}
+        #: Per group: its signature and one (operands, consts) per lane.
+        self.signatures: list = [None]
+        self.members: list[list] = [[]]
+
+    def emit(self, reg_refs: list, writebacks: list) -> str:
+        nodes = self.nodes
+        roots = [ref[1] for ref in reg_refs if ref[0] == "n"]
+        roots += [
+            nodes[cell[1]][1] for _, _, cell in writebacks
+            if isinstance(cell, tuple)
+        ]
+        live, needed = self._demand(roots)
+        self._place(self._flatten(live, needed), needed)
+        self._order_columns()
         lines = ["def _fastpath_v2(mats):"]
-
-        def emit(text: str) -> None:
-            lines.append("    " + text)
-
-        used_mats = sorted(
-            {positions[j] for j, _ in groups}
-            | {positions[j] for j, _, _ in writebacks}
+        if self.columns:
+            lines += self._product()
+        for g in range(1, len(self.members)):
+            lines.append(f"    g{g} = {self._group_expr(g)}")
+        lines += self._writebacks(writebacks)
+        returns = ", ".join(
+            repr(ref[1]) if ref[0] == "k"
+            else "g{}[:, {}]".format(*self.loc[ref[1]])
+            for ref in reg_refs
         )
-        for position in used_mats:
-            emit(f"m{position} = mats[{position}]")
-        for (j, width), members in sorted(groups.items()):
-            offsets = [nodes[nid][2] for nid in members]
-            parts = []
-            for byte_index in range(width):
-                name = const(
-                    [off + byte_index for off in offsets], np.intp
-                )
-                gather = f"m{positions[j]}[:, {name}].astype(_I64)"
-                if byte_index:
-                    gather = f"({gather} << {8 * byte_index})"
-                parts.append(gather)
-            emit(f"_L{j}_{width} = " + " | ".join(parts))
+        lines.append(f"    return [{returns}]")
+        return "\n".join(lines) + "\n"
 
-        def load_expr(nid: int, as_i64: bool) -> str:
-            node = nodes[nid]
-            matrix = f"_L{node[1]}_{node[3]}[:, {column[nid]}]"
-            return matrix if as_i64 else f"{matrix}.astype(_U32)"
+    # -- analysis ---------------------------------------------------------
 
-        def uref(ref) -> str:
-            if ref[0] == "k":
-                return repr(ref[1])
-            return uexpr(ref[1])
+    def _is_atom(self, nid: int) -> bool:
+        node = self.nodes[nid]
+        if node[0] == "load":
+            return True
+        if node[0] != "sex":
+            return False
+        source = self.nodes[node[1]]
+        return source[0] == "load" and source[3] == node[2]
 
-        def uexpr(nid: int) -> str:
-            if nodes[nid][0] == "load":
-                return load_expr(nid, as_i64=False)
-            return f"v{nid}"
+    def _demand(self, roots: list) -> tuple[set, set]:
+        """Nodes the roots depend on, and those needing a lane value.
 
-        for nid in sorted(reachable):
+        An affine node's atom operands go into the product and its
+        affine operands are inlined into it, so neither needs a value
+        of its own unless another consumer or a root asks for one.
+        """
+        nodes = self.nodes
+        live, needed = set(roots), set(roots)
+        for nid in range(max(live, default=-1), -1, -1):
+            if nid not in live or self._is_atom(nid):
+                continue
+            inline = nodes[nid][0] == "aff"
+            for child in _operand_ids(nodes[nid]):
+                live.add(child)
+                if not inline or not (
+                    nodes[child][0] == "aff" or self._is_atom(child)
+                ):
+                    needed.add(child)
+        return live, needed
+
+    def _flatten(self, live: set, needed: set) -> dict:
+        """Affine node -> (base, terms) with unneeded affine children
+        substituted; ids are topological, so children come first."""
+        flat: dict = {}
+        for nid in sorted(live):
+            node = self.nodes[nid]
+            if node[0] != "aff":
+                continue
+            base, terms = node[1], {}
+            for child, coef in node[2]:
+                if child in flat and child not in needed:
+                    child_base, child_terms = flat[child]
+                    base += coef * child_base
+                    for leaf, k in child_terms.items():
+                        _accumulate(terms, leaf, coef * k)
+                else:
+                    _accumulate(terms, child, coef)
+            flat[nid] = (base & _MASK32, terms)
+        return flat
+
+    def _place(self, flat: dict, needed: set) -> None:
+        nodes = self.nodes
+        for nid in sorted(needed):
             node = nodes[nid]
             kind = node[0]
-            if kind == "load":
-                continue
-            if kind == "sex":
-                sign = 1 << (8 * node[2] - 1)
-                emit(f"v{nid} = ({uexpr(node[1])} ^ {sign}) - {sign}")
-            elif kind == "byte":
-                source = uexpr(node[1])
-                if node[2]:
-                    emit(f"v{nid} = ({source} >> {8 * node[2]}) & 255")
-                else:
-                    emit(f"v{nid} = {source} & 255")
+            if self._is_atom(nid):
+                self.loc[nid] = self._column({nid: 1}, 0)
+            elif kind == "aff":
+                base, terms = flat[nid]
+                atoms = {
+                    leaf: c for leaf, c in terms.items() if self._is_atom(leaf)
+                }
+                others = sorted(
+                    (leaf, c) for leaf, c in terms.items() if leaf not in atoms
+                )
+                if atoms and not others:
+                    self.loc[nid] = self._column(atoms, base)
+                    continue
+                operands = [self.loc[leaf] for leaf, _ in others]
+                coefs = [c & _MASK32 for _, c in others]
+                if atoms:
+                    operands.insert(0, self._column(atoms, base))
+                    coefs.insert(0, 1)
+                    base = 0
+                self._lane(nid, "aff", None, operands, (*coefs, base))
+            elif kind == "bin" and node[1] in ("shr", "sar"):
+                self._lane(
+                    nid, "bin", node[1:4:2], [self.loc[node[2][1]]]
+                )
             elif kind == "bin":
-                opname = node[1]
-                if opname == "shr":
-                    emit(f"v{nid} = {uref(node[2])} >> {node[3]}")
-                elif opname == "sar":
-                    emit(
-                        f"v{nid} = (({uref(node[2])}).view(_I32) "
-                        f">> {node[3]}).view(_U32)"
-                    )
-                else:
-                    symbol = {
-                        "and": "&", "or": "|", "xor": "^", "mul": "*"
-                    }[opname]
-                    emit(
-                        f"v{nid} = {uref(node[2])} {symbol} {uref(node[3])}"
-                    )
-            else:  # aff
-                self._emit_affine(nid, node, emit, const, load_expr)
+                self._lane(nid, "bin", node[1], [
+                    ref if ref[0] == "k" else self.loc[ref[1]]
+                    for ref in node[2:]
+                ])
+            else:  # sex of a non-atom, byte
+                self._lane(nid, kind, node[2], [self.loc[node[1]]])
 
-        for j, off, cell in writebacks:
-            target = f"m{positions[j]}[:, {off}]"
-            if isinstance(cell, int):
-                emit(f"{target} = {cell}")
-            else:
-                emit(f"{target} = {uexpr(cell[1])}")
+    def _order_columns(self) -> None:
+        """Renumber group-0 columns in the order lane groups read them,
+        so the common case reads the product whole instead of through a
+        permuting gather."""
+        order: dict[int, int] = {}
+        for lanes in self.members[1:]:
+            for operands, _ in lanes:
+                for op in operands:
+                    if op[0] == 0:
+                        order.setdefault(op[1], len(order))
+        for col in range(len(self.columns)):
+            order.setdefault(col, len(order))
+        self.columns = [self.columns[old] for old in order]
 
-        emit("return [" + ", ".join(uref(ref) for ref in reg_refs) + "]")
+        def moved(loc):
+            return (0, order[loc[1]]) if loc[0] == 0 else loc
 
-        source = "\n".join(lines) + "\n"
-        namespace: dict = {
-            "_U32": np.uint32,
-            "_I32": np.int32,
-            "_I64": np.int64,
-            **consts,
-        }
-        code = compile(
-            source, f"<fastpath-v2:{self.program.name}>", "exec"
+        self.loc = {nid: moved(loc) for nid, loc in self.loc.items()}
+        for lanes in self.members[1:]:
+            lanes[:] = [
+                ([moved(op) for op in operands], consts)
+                for operands, consts in lanes
+            ]
+
+    def _column(self, atoms: dict, base: int) -> tuple[int, int]:
+        self.columns.append((atoms, base))
+        return 0, len(self.columns) - 1
+
+    def _lane(self, nid, kind, param, operands, consts=()) -> None:
+        signature = (kind, param, tuple(op[0] for op in operands))
+        g = self.groups.get(signature)
+        if g is None:
+            g = self.groups[signature] = len(self.members)
+            self.signatures.append(signature)
+            self.members.append([])
+        self.loc[nid] = (g, len(self.members[g]))
+        self.members[g].append((operands, consts))
+
+    # -- code -------------------------------------------------------------
+
+    def _const(self, values, dtype) -> str:
+        name = f"_K{len(self.consts)}"
+        self.consts[name] = np.asarray(values, dtype=dtype)
+        return name
+
+    def _slice(self, idx: list) -> str | None:
+        """``idx`` as slice text when it is a progression, else ``None``."""
+        step = idx[1] - idx[0] if len(idx) > 1 else 1
+        if step > 0 and all(b - a == step for a, b in zip(idx, idx[1:])):
+            stop = idx[-1] + 1
+            return f"{idx[0]}:{stop}" + (f":{step}" if step > 1 else "")
+        return None
+
+    def _select(self, array: str, idx: list) -> str:
+        """Columns ``idx`` of ``array``, C-ordered (``[:, idx]`` with an
+        index array would return a Fortran-ordered copy)."""
+        cut = self._slice(idx)
+        if cut is not None:
+            return f"{array}[:, {cut}]"
+        return f"{array}.take({self._const(idx, np.intp)}, 1)"
+
+    def _atom_key(self, nid: int) -> tuple[int, int, bool, int]:
+        """(region, width, signed, offset) of an atom."""
+        node = self.nodes[nid]
+        signed = node[0] == "sex"
+        load = self.nodes[node[1]] if signed else node
+        return load[1], load[3], signed, load[2]
+
+    def _product(self) -> list[str]:
+        """Gather the atom matrices and emit ``g0 = X @ W``.
+
+        A BLAS float product when every column's worst case — the sum of
+        |coef| times its atom matrix's largest magnitude — stays below
+        the float type's exact-integer limit, so every partial sum is an
+        exact integer; the int64 product, exact mod 2**32, otherwise.
+        """
+        rows: dict[tuple, set] = {}
+        worst = 0
+        for atoms, _ in self.columns:
+            bound = 0
+            for atom, coef in atoms.items():
+                region, width, signed, offset = self._atom_key(atom)
+                rows.setdefault((region, width, signed), set()).add(
+                    (offset, atom)
+                )
+                bound += abs(coef) * _ATOM_VIEWS[width, signed][2]
+            worst = max(worst, bound)
+        dtype, cast = next(
+            ((dtype, cast) for dtype, cast, limit in _FLOAT_PRODUCTS
+             if worst < limit),
+            (np.int64, "_I64"),
         )
-        exec(code, namespace)  # noqa: S102 - our own generated source
-        return namespace["_fastpath_v2"], source
-
-    def _emit_affine(self, nid, node, emit, const, load_expr) -> None:
-        nodes = self.dag.nodes
-        base_const, terms = node[1], node[2]
-        by_group: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        scalar_parts: list[str] = []
-        for term_id, coef in terms:
-            term_node = nodes[term_id]
-            if term_node[0] == "load":
-                key = (term_node[1], term_node[3])
-                by_group.setdefault(key, []).append((term_id, coef))
+        parts = []
+        for (region, width, signed), members in sorted(rows.items()):
+            members = sorted(members)
+            offsets = [offset for offset, _ in members]
+            matrix = f"mats[{self.positions[region]}]"
+            first, span = offsets[0], offsets[-1] + width - offsets[0]
+            if span <= 2 * width * len(offsets) and all(
+                (off - first) % width == 0 for off in offsets
+            ):
+                # Read the whole aligned span as one slice; the cells
+                # between atoms get zero rows in W.
+                row_of = {
+                    atom: (off - first) // width for off, atom in members
+                }
+                gather = f"{matrix}[:, {first}:{first + span}]"
+                n_rows = span // width
             else:
-                operand = f"v{term_id}.astype(_I64)"
-                scalar_parts.append(
-                    operand if coef == 1 else f"({coef}) * {operand}"
+                row_of = {atom: row for row, (_, atom) in enumerate(members)}
+                gather = self._select(
+                    matrix, [off + b for off in offsets for b in range(width)]
                 )
-        matmul_parts: list[str] = []
-        for (j, width), members in sorted(by_group.items()):
-            if len(members) >= _MATMUL_MIN:
-                columns = const(
-                    [
-                        # column index within the group matrix
-                        self._column_of(term_id)
-                        for term_id, _ in members
-                    ],
-                    np.intp,
-                )
-                coefs = const([c for _, c in members], np.int64)
-                matmul_parts.append(
-                    f"_L{j}_{width}[:, {columns}] @ {coefs}"
-                )
-            else:
-                for term_id, coef in members:
-                    operand = load_expr(term_id, as_i64=True)
-                    scalar_parts.append(
-                        operand if coef == 1 else f"({coef}) * {operand}"
-                    )
-        parts = matmul_parts + scalar_parts
-        if len(parts) <= _SUM_CHUNK:
-            total = " + ".join(parts)
-            if base_const:
-                total = f"{total} + {base_const}"
-            emit(f"v{nid} = (({total}) & 4294967295).astype(_U32)")
-            return
-        emit(f"_t = {' + '.join(parts[:_SUM_CHUNK])}")
-        for start in range(_SUM_CHUNK, len(parts), _SUM_CHUNK):
-            emit(f"_t = _t + ({' + '.join(parts[start:start + _SUM_CHUNK])})")
-        tail = f" + {base_const}" if base_const else ""
-        emit(f"v{nid} = ((_t{tail}) & 4294967295).astype(_U32)")
+                n_rows = len(offsets)
+            weights = np.zeros((n_rows, len(self.columns)), np.int64)
+            for col, (terms, _) in enumerate(self.columns):
+                for atom, coef in terms.items():
+                    if atom in row_of:
+                        weights[row_of[atom], col] = coef
+            if (width, signed) != (1, False):
+                gather += f".view({_ATOM_VIEWS[width, signed][1]})"
+            parts.append(
+                f"{gather}.astype({cast}) @ {self._const(weights, dtype)}"
+            )
+        lines = [f"    _P = {' + '.join(parts)}"]
+        total = "_P" if cast == "_I64" else "_P.astype(_I64)"
+        bases = [base for _, base in self.columns]
+        if any(bases):
+            total = f"({total} + {self._const(bases, np.int64)})"
+        lines.append(f"    g0 = {total}.astype(_U32)")
+        return lines
 
-    def _column_of(self, load_id: int) -> int:
-        # Filled lazily by _emit's grouping pass via closure state.
-        return self._columns[load_id]
+    def _width(self, g: int) -> int:
+        return len(self.members[g]) if g else len(self.columns)
+
+    def _operand(self, column: list) -> str:
+        """One operand position across a group's lanes."""
+        if column[0][0] == "k":
+            values = [value for _, value in column]
+            if len(set(values)) == 1:
+                return repr(values[0])
+            return self._const(values, np.uint32)
+        g = column[0][0]
+        lanes = [lane for _, lane in column]
+        if lanes == list(range(self._width(g))):
+            return f"g{g}"
+        return self._select(f"g{g}", lanes)
+
+    def _group_expr(self, g: int) -> str:
+        kind, param, _ = self.signatures[g]
+        lanes = self.members[g]
+        ops = [
+            self._operand([lane[0][k] for lane in lanes])
+            for k in range(len(lanes[0][0]))
+        ]
+        if kind == "bin":
+            if isinstance(param, tuple):
+                opname, amount = param
+                if opname == "shr":
+                    return f"{ops[0]} >> {amount}"
+                return f"({ops[0]}.view(_I32) >> {amount}).view(_U32)"
+            return f"{ops[0]} {_BIN_SYMBOLS[param]} {ops[1]}"
+        if kind == "sex":
+            sign = 1 << (8 * param - 1)
+            return f"({ops[0]} ^ {sign}) - {sign}"
+        if kind == "byte":
+            return (
+                f"({ops[0]} >> {8 * param}) & 255" if param
+                else f"{ops[0]} & 255"
+            )
+        *coefs, base = [
+            self._operand([("k", lane[1][k]) for lane in lanes])
+            for k in range(len(lanes[0][1]))
+        ]
+        if not ops:  # every term cancelled: a per-lane constant
+            return f"_np.zeros((len(mats[0]), {len(lanes)}), _U32) + {base}"
+        terms = [
+            operand if coef == "1" else f"{coef} * {operand}"
+            for operand, coef in zip(ops, coefs)
+        ]
+        if base != "0":
+            terms.append(base)
+        return " + ".join(terms)
+
+    def _writebacks(self, writebacks: list) -> list[str]:
+        """One store per (region, source): constants or a lane group."""
+        stores: dict[tuple, tuple[list, list]] = {}
+        for j, off, cell in writebacks:
+            if isinstance(cell, int):
+                key, value = (self.positions[j], "k"), cell
+            else:
+                _, source, byte = self.nodes[cell[1]]
+                g, lane = self.loc[source]
+                key, value = (self.positions[j], g), 4 * lane + byte
+            dst, src = stores.setdefault(key, ([], []))
+            dst.append(off)
+            src.append(value)
+        lines, viewed = [], set()
+        for (position, g), (dst, src) in stores.items():
+            cut = self._slice(dst) or self._const(dst, np.intp)
+            target = f"mats[{position}][:, {cut}]"
+            if g == "k":
+                lines.append(f"    {target} = {self._const(src, np.uint8)}")
+                continue
+            if g not in viewed:
+                viewed.add(g)
+                lines.append(f"    b{g} = _bytes(g{g})")
+            lines.append(f"    {target} = {self._select(f'b{g}', src)}")
+        return lines

@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import (
     EVALUATION_DATASETS,
     Dataset,
+    dataset_features,
     dataset_names,
     load,
 )
@@ -23,6 +24,8 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown dataset"):
             load("imagenet")
+        with pytest.raises(ConfigurationError, match="unknown dataset"):
+            dataset_features("imagenet")
 
     def test_memoization_returns_same_object(self):
         a = load("digits_like", **SMALL, seed=5)
@@ -53,6 +56,12 @@ class TestGeneratorContracts:
         assert ds.x_train.shape == (SMALL["n_train"], features)
         assert ds.x_test.shape == (SMALL["n_test"], features)
         assert ds.x_train.dtype == np.float32
+
+    def test_registered_features_match_generated(
+        self, name, features, classes, shape
+    ):
+        assert dataset_features(name) == features
+        assert load(name, **SMALL, seed=1).num_features == features
 
     def test_values_in_unit_range(self, name, features, classes, shape):
         ds = load(name, **SMALL, seed=1)

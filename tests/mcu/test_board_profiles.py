@@ -119,6 +119,9 @@ class TestDeadlineConversion:
 
 
 class TestEngineGating:
+    """Every tier runs on every board: the engines are host-side and
+    bit-identical, so a simulated capability flag selects none."""
+
     def test_all_reference_boards_host_every_tier(self):
         for board in ALL_BOARDS:
             assert board.supported_engines() == (
@@ -126,41 +129,55 @@ class TestEngineGating:
             )
             assert board.resolve_engine("fastpath-v2") == "fastpath-v2"
 
-    def test_no_multiplier_caps_at_tier1(self):
+    def test_no_multiplier_board_hosts_every_tier(self):
         soft_mul = BoardProfile(
             "ATSAMD09", "Cortex-M0+", 48_000_000, 64, 8, has_muls=False
         )
-        assert soft_mul.supported_engines() == ("fastpath", "interpreter")
-        assert soft_mul.resolve_engine("fastpath-v2") == "fastpath"
-        assert soft_mul.resolve_engine("fastpath") == "fastpath"
-        # Never upgrades: the interpreter stays the interpreter.
-        assert soft_mul.resolve_engine("interpreter") == "interpreter"
+        assert soft_mul.supported_engines() == (
+            "fastpath-v2", "fastpath", "interpreter"
+        )
+        for engine in soft_mul.supported_engines():
+            assert soft_mul.resolve_engine(engine) == engine
 
     def test_unknown_engine_is_typed(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
             STM32F072RB.resolve_engine("jit")
 
-    def test_gated_deployment_degrades_bit_identically(self, trained_neuroc):
+    def test_tier2_on_no_multiplier_board_is_bit_identical(
+        self, trained_neuroc
+    ):
+        import numpy as np
+
         from repro.deploy.artifact import DeployedModel
 
         soft_mul = BoardProfile(
             "ATSAMD09", "Cortex-M0+", 48_000_000, 128, 16, has_muls=False
         )
-        gated = DeployedModel(
+        tier2 = DeployedModel(
             trained_neuroc.quantized, "block", board=soft_mul,
             engine="fastpath-v2",
         )
-        assert gated.engine == "fastpath"      # degraded, not rejected
+        assert tier2.engine == "fastpath-v2"
         reference = DeployedModel(
             trained_neuroc.quantized, "block", board=soft_mul,
             engine="interpreter",
         )
-        import numpy as np
-
-        x = np.zeros(trained_neuroc.quantized.n_in)
-        a, b = gated.infer(x), reference.infer(x)
-        assert a.cycles == b.cycles
-        assert np.array_equal(a.logits, b.logits)
+        x = np.random.default_rng(0).uniform(
+            0, 1, (4, trained_neuroc.quantized.n_in)
+        )
+        fused = tier2.infer_batch(x)
+        assert fused.fused
+        for row in range(len(x)):
+            expected = reference.infer(x[row])
+            assert fused.cycles_per_inference == expected.cycles
+            assert np.array_equal(fused.logits[row], expected.logits)
+        assert [bytes(r.data) for r in tier2.memory.regions] == [
+            bytes(r.data) for r in reference.memory.regions
+        ]
+        single = tier2.infer(x[0])
+        assert tier2._cpu.last_engine == "fastpath-v2"
+        assert single.cycles == expected.cycles
+        assert np.array_equal(single.logits, reference.infer(x[0]).logits)
 
 
 class TestPerBoardDeployment:

@@ -10,7 +10,9 @@ four sparse formats) and re-runs the 220-seed random-program fuzzer
 from ``test_fastpath`` with tier-2 preconditions (zero entry
 registers), covering both the accept path (single + fused) and the
 decline machinery.  It also pins the tiered cache-stats contract and
-dual-tier eviction.
+dual-tier eviction, the layer-level shape of the emitted code, the
+product type the specialize-time bound picks, and fused batches of a
+784-64-10 model on every board profile.
 """
 
 import numpy as np
@@ -22,7 +24,8 @@ from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
 from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
-from repro.mcu.board import STM32F072RB
+from repro.deploy.artifact import DeployedModel
+from repro.mcu.board import BOARD_PROFILES, STM32F072RB
 from repro.mcu.fastpath import (
     FastCPU,
     clear_translation_cache,
@@ -41,6 +44,7 @@ from repro.mcu.fastpath_v2 import (
 )
 from repro.mcu.isa import Assembler, Instr, Op, Program, Reg
 from repro.mcu.memory import MemoryMap
+from repro.quantize.ptq import QuantizedModel
 from tests.mcu.test_fastpath import (
     RAM,
     SCRATCH,
@@ -246,6 +250,30 @@ def _interp_run(program, ram_image, costs):
     return result, memory
 
 
+def _check_batch_fused(program, sp, images, costs, context):
+    """One fused call over ``images`` (RAM contents, one per row) leaves
+    every row's registers and RAM as its own interpreter run would."""
+    refs = [_interp_run(program, image, costs) for image in images]
+    memory = MemoryMap.stm32()
+    mats = make_batch_state(memory, len(images))
+    pos, off = _locate_writable(memory, RAM, SCRATCH)
+    for row, image in enumerate(images):
+        mats[pos][row, off:off + len(image)] = np.frombuffer(
+            image, dtype=np.uint8
+        )
+    out_regs = sp.fn(mats)
+    for row, (ref, ref_memory) in enumerate(refs):
+        assert sp.cycles == ref.cycles, (context, row)
+        assert sp.instructions == ref.instructions, (context, row)
+        assert _row_registers(out_regs, row) == ref.registers, (
+            context, row,
+        )
+        assert (
+            mats[pos][row].tobytes()
+            == bytes(ref_memory.region("ram").data)
+        ), (context, row)
+
+
 class TestFuzzDifferentialV2:
     """The 220 fuzz seeds under tier-2 preconditions (zero registers).
 
@@ -271,39 +299,16 @@ class TestFuzzDifferentialV2:
         assert _region_state(memory) == _region_state(ref_memory), seed
         if cpu.last_specialization is not None:
             assert cpu.last_engine == "fastpath-v2"
-            self._check_batch_fused(
-                program, cpu.last_specialization, seed, costs
+            rng = np.random.default_rng(seed + 77_000)
+            images = [
+                bytes(rng.integers(0, 256, SCRATCH, dtype=np.uint8))
+                for _ in range(3)
+            ]
+            _check_batch_fused(
+                program, cpu.last_specialization, images, costs, seed
             )
         else:
             assert cpu.last_engine in ("fastpath", "interpreter")
-
-    def _check_batch_fused(self, program, sp, seed, costs):
-        batch = 3
-        rng = np.random.default_rng(seed + 77_000)
-        images = [
-            bytes(rng.integers(0, 256, SCRATCH, dtype=np.uint8))
-            for _ in range(batch)
-        ]
-        refs = [_interp_run(program, image, costs) for image in images]
-
-        memory = MemoryMap.stm32()
-        mats = make_batch_state(memory, batch)
-        pos, off = _locate_writable(memory, RAM, SCRATCH)
-        for row, image in enumerate(images):
-            mats[pos][row, off:off + SCRATCH] = np.frombuffer(
-                image, dtype=np.uint8
-            )
-        out_regs = sp.fn(mats)
-        for row, (ref, ref_memory) in enumerate(refs):
-            assert sp.cycles == ref.cycles, (seed, row)
-            assert sp.instructions == ref.instructions, (seed, row)
-            assert _row_registers(out_regs, row) == ref.registers, (
-                seed, row,
-            )
-            assert (
-                mats[pos][row].tobytes()
-                == bytes(ref_memory.region("ram").data)
-            ), (seed, row)
 
     def test_fuzzer_exercises_both_tier2_paths(self):
         accepted = declined = 0
@@ -524,3 +529,181 @@ class TestTieredCacheStats:
         assert evict_translation(program, memory) is True
         assert translation_cache_stats()["entries"] == 0
         assert evict_translation(program, memory) is False
+
+
+# -- layer-level emission --------------------------------------------------
+
+
+def _neuroc_layer(n_in, n_out, bias, rng, **kwargs):
+    """A ternary layer spec with per-neuron multipliers."""
+    return make_neuroc_spec(
+        adjacency=clustered_adjacency(n_in, n_out, 0.1, rng),
+        bias=np.asarray(bias, dtype=np.int32),
+        mult=rng.integers(2000, 28000, n_out).astype(np.int16),
+        **kwargs,
+    )
+
+
+def _mnist_shaped_model(seed=0):
+    """784-64-10 Neuro-C model shaped like the zoo's ``mnist-small``.
+
+    Hidden biases mix zeros and non-zeros, so both post-chain shapes
+    (with and without the bias add) appear in the emitted code.
+    """
+    rng = np.random.default_rng(seed)
+    hidden = _neuroc_layer(
+        784, 64, rng.integers(-3, 4, 64), rng, shift=19,
+        act_in_width=1, act_out_width=1, relu=True,
+    )
+    logits = _neuroc_layer(
+        64, 10, rng.integers(-200, 200, 10), rng, shift=8,
+        act_in_width=1, act_out_width=2, relu=False,
+    )
+    return QuantizedModel([hidden, logits], input_scale=1 / 127,
+                          act_width=1)
+
+
+def _ram_and_traffic(model):
+    return (
+        [bytes(region.data) for region in model.memory.regions],
+        [
+            (r.loads, r.bytes_loaded, r.stores, r.bytes_stored)
+            for r in model.memory.regions
+        ],
+    )
+
+
+class TestLayerLevelEmission:
+    def test_statement_count_independent_of_n_out(self):
+        statements = {}
+        for n_out in (16, 64):
+            rng = np.random.default_rng(3)
+            bias = rng.integers(1, 100, n_out) * rng.choice([-1, 1], n_out)
+            spec = _neuroc_layer(
+                784, n_out, bias, rng, shift=19, act_in_width=1,
+                act_out_width=1, relu=True,
+            )
+            image = generate_sparse(spec, "block")
+            sp = translate_v2(image.program, image.memory, COSTS)
+            assert isinstance(sp, SpecializedProgram), sp
+            body = sp.source.splitlines()[1:]
+            assert any(" @ " in line for line in body), sp.source
+            # One cast for the gathered activations, two for the product:
+            # no per-neuron astype chains.
+            assert sp.source.count("astype") <= 3, sp.source
+            statements[n_out] = len(body)
+        assert abs(statements[16] - statements[64]) <= 2, statements
+
+    @pytest.mark.parametrize("board", BOARD_PROFILES.values(),
+                             ids=BOARD_PROFILES)
+    def test_fused_batches_match_sequential_interpreter(self, board):
+        """784-64-10 at batch 1, 4 and 256 on every board profile.
+
+        The interpreter runs rows 0-3 in sequence, then row 255.  Batches
+        1 and 4 compare against the state after exactly that many runs.
+        Each run dirties the same cells and, as the fused path's hazard
+        check requires, reads none a previous row left behind, so after
+        row 255 the interpreter's RAM is the state 256 sequential runs
+        leave, and its per-region traffic is five times one run's.
+        """
+        quantized = _mnist_shaped_model()
+        x = np.random.default_rng(5).uniform(-1.2, 1.2, (256, 784))
+        reference = DeployedModel(quantized, "block", board=board,
+                                  engine="interpreter")
+        expected = {}
+        for runs, row in enumerate((0, 1, 2, 3, 255), start=1):
+            result = reference.infer(x[row])
+            expected[row] = (result, runs, *_ram_and_traffic(reference))
+
+        for batch in (1, 4, 256):
+            fused = DeployedModel(quantized, "block", board=board,
+                                  engine="fastpath-v2")
+            out = fused.infer_batch(x[:batch])
+            assert out.fused
+            assert np.array_equal(out.logits, quantized.forward(x[:batch]))
+            for row, (result, _, _, _) in expected.items():
+                if row < batch:
+                    assert np.array_equal(out.logits[row], result.logits)
+                    assert out.cycles_per_inference == result.cycles
+            _, runs, ram, traffic = expected[batch - 1]
+            got_ram, got_traffic = _ram_and_traffic(fused)
+            assert got_ram == ram, (board.name, batch)
+            assert [
+                tuple(runs * count for count in region)
+                for region in got_traffic
+            ] == [
+                tuple(batch * count for count in region)
+                for region in traffic
+            ], (board.name, batch)
+
+
+def _edge_images():
+    """RAM images that reach each load width's extremes."""
+    rng = np.random.default_rng(21)
+    return [
+        bytes(rng.integers(0, 256, 64, dtype=np.uint8)),
+        b"\xff" * 64,
+        b"\x00" * 64,
+        b"\x80\x00\x00\x80" * 16,
+        b"\x7f\xff\xff\x7f" * 16,
+    ]
+
+
+class TestProductExactness:
+    # Three terms of ``coef * load``: the bound is 3 * |coef| * max|load|.
+    @pytest.mark.parametrize("load, coef, cast", [
+        ("ldrb", 21931, "_F32"),            # 3 * 21931 * 255 < 2**24
+        ("ldrb", 21932, "_F64"),
+        ("ldrsh", -(1 << 31), "_F64"),
+        ("ldr", 699050, "_F64"),            # 3 * 699050 * (2**32-1) < 2**53
+        ("ldr", 699051, "_I64"),            # ... > 2**53: float64 rounds
+    ])
+    def test_bound_picks_the_product_type(self, load, coef, cast):
+        asm = Assembler(f"bound-{load}-{coef}")
+        asm.movi(Reg.R7, RAM)
+        asm.movi(Reg.R2, coef)
+        for k in range(3):
+            getattr(asm, load)(Reg.R1, Reg.R7, 4 * k)
+            asm.mul(Reg.R1, Reg.R1, Reg.R2)
+            asm.add(Reg.R3, Reg.R3, Reg.R1)
+        asm.str_(Reg.R3, Reg.R7, 32)
+        asm.halt()
+        program = asm.assemble()
+        sp = translate_v2(program, MemoryMap.stm32(), COSTS)
+        assert isinstance(sp, SpecializedProgram), sp
+        assert f".astype({cast}) @ " in sp.source, sp.source
+        _check_batch_fused(program, sp, _edge_images(), COSTS, cast)
+
+    def test_lane_paths_beyond_the_layer_shape(self):
+        """Forwarded narrow reloads, byte recomposition, subtraction and
+        terms that cancel once spilled partials are inlined."""
+        asm = Assembler("lane-paths")
+        asm.movi(Reg.R7, RAM)
+        asm.ldrb(Reg.R1, Reg.R7, 0)
+        asm.ldrb(Reg.R2, Reg.R7, 1)
+        asm.mul(Reg.R3, Reg.R1, Reg.R2)
+        asm.lsri(Reg.R4, Reg.R3, 3)
+        asm.sub(Reg.R5, Reg.R3, Reg.R4)
+        asm.str_(Reg.R5, Reg.R7, 16)
+        asm.ldrsb(Reg.R6, Reg.R7, 16)       # sign-extends a stored value
+        asm.str_(Reg.R6, Reg.R7, 20)
+        asm.strb(Reg.R1, Reg.R7, 40)        # one new byte in a word
+        asm.ldr(Reg.R8, Reg.R7, 40)
+        asm.str_(Reg.R8, Reg.R7, 44)
+        asm.add(Reg.R8, Reg.R1, Reg.R2)     # spilled, reloaded, cancelled
+        asm.str_(Reg.R8, Reg.R7, 24)
+        asm.ldr(Reg.R9, Reg.R7, 24)
+        asm.sub(Reg.R9, Reg.R9, Reg.R1)
+        asm.sub(Reg.R9, Reg.R9, Reg.R2)
+        asm.str_(Reg.R9, Reg.R7, 28)
+        asm.str_(Reg.R0, Reg.R7, 24)
+        asm.movi(Reg.R8, 0)
+        asm.movi(Reg.R9, 0)
+        asm.halt()
+        program = asm.assemble()
+        sp = translate_v2(program, MemoryMap.stm32(), COSTS)
+        assert isinstance(sp, SpecializedProgram), sp
+        for construct in ("^ 128) - 128", "4294967295 * g", "_np.zeros",
+                          "& 255"):
+            assert construct in sp.source, (construct, sp.source)
+        _check_batch_fused(program, sp, _edge_images(), COSTS, "lanes")
