@@ -28,6 +28,7 @@ from repro.serve import (
     ModelRegistry,
     ServeConfig,
     ServeRuntime,
+    fleet_capacity_rps,
     synthetic_trace,
 )
 
@@ -66,7 +67,7 @@ def _run(artifact, dataset, *, rate_rps, seed, fault_plan=None,
 
 def test_serve_throughput_and_conservation():
     artifact, dataset = _artifact()
-    capacity_rps = N_DEVICES * 1000.0 / artifact.deployment.latency_ms
+    capacity_rps = fleet_capacity_rps(artifact, N_DEVICES)
 
     rows = []
     for label, factor, plan in (
@@ -146,7 +147,7 @@ def test_serve_engine_goodput_fastpath_v2():
     """ISSUE 8 acceptance: fused batch dispatch beats per-request
     dispatch on *host* goodput at the same scenario.
 
-    The scenario floods the queue (no pacing, no shedding bounds), so
+    The queue holds the whole trace and nothing sheds on queue wait, so
     every request completes on both engines and the host wall-clock is
     purely execute-path-bound: one vectorized call serves a whole
     admitted batch.  Per-request simulated charges stay engine-exact
@@ -155,7 +156,7 @@ def test_serve_engine_goodput_fastpath_v2():
     totals, not per-request latencies.
     """
     artifact, dataset = _artifact()
-    capacity_rps = N_DEVICES * 1000.0 / artifact.deployment.latency_ms
+    capacity_rps = fleet_capacity_rps(artifact, N_DEVICES, max_batch=32)
 
     rows = {}
     for engine in ("fastpath", "fastpath-v2"):
@@ -171,14 +172,13 @@ def test_serve_engine_goodput_fastpath_v2():
         ServeRuntime(artifact, config).replay(
             synthetic_trace(32, capacity_rps, 64, seed=7,
                             inputs=dataset.x_test),
-            pace=False,
         )
         trace = synthetic_trace(
             N_REQUESTS, capacity_rps, 64, seed=23, inputs=dataset.x_test
         )
         runtime = ServeRuntime(artifact, config)
         began = time.perf_counter()
-        report = runtime.replay(trace, pace=False)
+        report = runtime.replay(trace)
         host_seconds = time.perf_counter() - began
         assert report.conserved, engine
         rows[engine] = {

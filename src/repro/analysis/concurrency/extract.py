@@ -308,6 +308,11 @@ class _Extractor:
 
     def _scan_init_decls(self, cls: ClassModel, init: ast.FunctionDef):
         """Locks, attribute-type hints, and declared guards from init."""
+        init_params = {
+            a.arg: a.annotation
+            for a in init.args.posonlyargs + init.args.args
+            + init.args.kwonlyargs
+        }
         for stmt in ast.walk(init):
             if isinstance(stmt, ast.Assign):
                 targets, value = stmt.targets, stmt.value
@@ -338,6 +343,8 @@ class _Extractor:
                             hints.append(dotted)
                 if isinstance(stmt, ast.AnnAssign):
                     hints.extend(_annotation_names(stmt.annotation))
+                if isinstance(value, ast.Name):
+                    hints.extend(_annotation_names(init_params.get(value.id)))
                 if hints:
                     cls.attr_type_hints.setdefault(attr, hints)
 
@@ -506,6 +513,16 @@ class _BodyWalker:
             self.walk(stmt.orelse, held, loops)
             return
         if isinstance(stmt, ast.For):
+            attr = _self_attr(stmt.iter)
+            if (
+                attr is not None and self.cls is not None
+                and isinstance(stmt.target, ast.Name)
+            ):
+                # Iterating a typed container attribute: the loop
+                # variable has the attribute's element type.
+                self.fn.local_type_hints[stmt.target.id] = (
+                    self.cls.attr_type_hints.get(attr, [])
+                )
             self._expr(stmt.iter, held)
             self._target(stmt.target, held)
             self.walk(stmt.body, held, loops + 1)
@@ -526,6 +543,10 @@ class _BodyWalker:
                 self._note_thread_start(stmt)
             return
         if isinstance(stmt, ast.AnnAssign):
+            if isinstance(stmt.target, ast.Name):
+                self.fn.local_type_hints[stmt.target.id] = (
+                    _annotation_names(stmt.annotation)
+                )
             if stmt.value is not None:
                 self._expr(stmt.value, held)
                 self._target(stmt.target, held)
@@ -744,7 +765,16 @@ class _BodyWalker:
                     target = ("var_method", base.id, method)
                     receiver_handled = True
             else:
-                target = ("unknown_method", method)
+                chain = _dotted(base)
+                root, _, rest = (chain or "").partition(".")
+                if chain and (root == "self" or (
+                    root in self.locals
+                    and root not in self.ext.mod.imports
+                )):
+                    target = ("chain_method", root,
+                              tuple(rest.split(".")), method)
+                else:
+                    target = ("unknown_method", method)
                 self._expr(base, held)
                 receiver_handled = True
         else:

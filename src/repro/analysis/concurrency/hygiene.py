@@ -85,7 +85,8 @@ def _blocking_reason(call, fn, mod) -> str | None:
             name in fn.params and name in _callback_params(fn)
         ):
             return f"callback {name}()"
-    if kind in ("attr_method", "var_method", "unknown_method"):
+    if kind in ("attr_method", "var_method", "chain_method",
+                "unknown_method"):
         method = call.target[-1]
         if method in METHOD_BLOCKING:
             return f".{method}()"

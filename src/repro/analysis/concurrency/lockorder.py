@@ -9,7 +9,8 @@ graph:
 2. **Transitive acquisition** — a call made while holding ``A`` to a
    function that (transitively) acquires ``B``.  Call targets resolve
    through ``self`` methods, attribute types inferred from
-   ``__init__`` assignments, parameter annotations, module imports,
+   ``__init__`` assignments, parameter and local annotations, attribute
+   chains (``self.gen.runtime.submit()``), module imports,
    and — as a last resort — a unique method name across the program.
    Unresolvable calls contribute nothing (unsoundness is traded for
    zero false cycles from dynamic dispatch).
@@ -166,6 +167,13 @@ def _class_of_hint(hints, by_class_name, imports):
     return None
 
 
+def _class_of_var(var, fn, mod, indexes):
+    """Class of a parameter or local from its annotation (or, for a
+    loop over ``self.attr``, the attribute's element type)."""
+    hints = fn.param_type_hints.get(var) or fn.local_type_hints.get(var, [])
+    return _class_of_hint(hints, indexes[1], mod.imports)
+
+
 def resolve_call(call, fn, mod, indexes):
     """CallSite -> FunctionModel, or None when dynamic/external."""
     classes, by_class_name, _functions, by_fn_name, module_fns = indexes
@@ -187,8 +195,23 @@ def resolve_call(call, fn, mod, indexes):
         return _unique_method(method, by_fn_name)
     if kind == "var_method":
         var, method = call.target[1], call.target[2]
-        hints = fn.param_type_hints.get(var, [])
-        target_cls = _class_of_hint(hints, by_class_name, mod.imports)
+        target_cls = _class_of_var(var, fn, mod, indexes)
+        if target_cls is not None and method in target_cls.methods:
+            return target_cls.methods[method]
+        return _unique_method(method, by_fn_name)
+    if kind == "chain_method":
+        root, attrs, method = call.target[1:]
+        target_cls = (
+            classes.get(fn.cls) if root == "self" and fn.cls
+            else _class_of_var(root, fn, mod, indexes)
+        )
+        for attr in attrs:
+            if target_cls is None:
+                break
+            target_cls = _class_of_hint(
+                target_cls.attr_type_hints.get(attr, []),
+                by_class_name, mod.imports,
+            )
         if target_cls is not None and method in target_cls.methods:
             return target_cls.methods[method]
         return _unique_method(method, by_fn_name)

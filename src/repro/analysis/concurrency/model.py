@@ -81,8 +81,10 @@ class CallSite:
 
     ``target`` is a resolution hint produced by the extractor:
     ``("self_method", m)``, ``("attr_method", attr, m)``,
-    ``("var_method", var, m)``, ``("name", n)``,
-    ``("dotted", "a.b.c")`` or ``("unknown_method", m)``.
+    ``("var_method", var, m)``, ``("chain_method", root, attrs, m)``
+    (``root.a.b.m()`` with ``root`` being ``self`` or a local),
+    ``("name", n)``, ``("dotted", "a.b.c")`` or
+    ``("unknown_method", m)``.
     """
 
     target: tuple
@@ -139,6 +141,7 @@ class FunctionModel:
     line: int
     params: tuple = ()
     param_type_hints: dict = field(default_factory=dict)  # param -> [names]
+    local_type_hints: dict = field(default_factory=dict)  # local -> [names]
     returns_lock: bool = False
     guard_decorator: str | None = None    # raw @guarded_by argument
     is_init: bool = False

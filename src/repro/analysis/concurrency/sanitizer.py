@@ -11,8 +11,8 @@ held sanitized locks and flag:
   potential deadlock the static graph may have missed an edge for);
 - **unmodeled nesting** (strict mode) — any nesting at all between two
   sanitized locks when the static graph has no edge between them, in
-  either direction.  Running the PR 4 soaks strict proves the serve
-  stack's locks really are leaf-level: never nested;
+  either direction.  Running the soaks strict proves the serve and
+  cluster stacks nest their locks only as the static graph says;
 - **self-deadlock** — re-acquiring a held non-reentrant lock from the
   same thread raises immediately instead of hanging the suite.
 
@@ -206,26 +206,15 @@ def sanitizer_for_report(report, strict: bool = False
 def instrument_runtime(runtime, sanitizer: LockOrderSanitizer) -> None:
     """Swap a ServeRuntime's locks for sanitized wrappers, in place.
 
-    Must run before the runtime starts its workers.  Covers the
-    runtime tallies, the outcome map, the scheduler condition, the
-    tracer, the registry, and every metric the registry hands out
-    (metric locks are created lazily, so the registry's factory
-    methods are shadowed to wrap them at creation).
+    Must run before the runtime serves its first request.  Covers the
+    runtime lock, the tracer, the registry, and every metric the
+    registry hands out (metric locks are created lazily, so the
+    registry's factory methods are shadowed to wrap them at creation).
     """
     prefix = "repro.serve"
-    runtime._arrival_lock = sanitizer.wrap(
-        f"{prefix}.runtime.ServeRuntime._arrival_lock",
-        runtime._arrival_lock,
+    runtime._lock = sanitizer.wrap(
+        f"{prefix}.runtime.ServeRuntime._lock", runtime._lock
     )
-    runtime._outcome_lock = sanitizer.wrap(
-        f"{prefix}.runtime.ServeRuntime._outcome_lock",
-        runtime._outcome_lock,
-    )
-    queue = getattr(runtime, "queue", None)
-    if queue is not None and hasattr(queue, "_cv"):
-        queue._cv = sanitizer.condition(
-            f"{prefix}.scheduler.BoundedRequestQueue._cv"
-        )
     tracer = getattr(runtime, "tracer", None)
     if tracer is not None and hasattr(tracer, "_lock"):
         tracer._lock = sanitizer.wrap(
@@ -299,14 +288,14 @@ def _wrap_metric_locks(registry, sanitizer, prefix) -> None:
 
 
 def instrument_cluster(cluster, sanitizer: LockOrderSanitizer) -> None:
-    """Swap a Cluster's control-plane locks for sanitized wrappers.
+    """Swap a Cluster's locks for sanitized wrappers.
 
     Must run before :meth:`Cluster.start`: fleet construction is
     deferred to ``start()`` precisely so that the sanitizer attached
-    here reaches every fleet — each fleet wraps its condition variable
-    at birth and runs :func:`instrument_runtime` over every runtime
-    generation it ever builds, including green generations created by
-    rolling deploys and fleets added by the autoscaler mid-run.
+    here reaches every fleet — each fleet runs
+    :func:`instrument_runtime` over every runtime generation it ever
+    builds, including green generations created by rolling deploys and
+    fleets added by the autoscaler mid-run.
     """
     if getattr(cluster, "_started", False):
         raise RuntimeError(
@@ -316,9 +305,6 @@ def instrument_cluster(cluster, sanitizer: LockOrderSanitizer) -> None:
     cluster._sanitizer = sanitizer
     cluster._lock = sanitizer.wrap(
         f"{prefix}.cluster.Cluster._lock", cluster._lock
-    )
-    cluster._submit_lock = sanitizer.wrap(
-        f"{prefix}.cluster.Cluster._submit_lock", cluster._submit_lock
     )
     router = getattr(cluster, "router", None)
     if router is not None and hasattr(router, "_lock"):

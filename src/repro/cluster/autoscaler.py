@@ -6,7 +6,7 @@ at most one :class:`ScaleDecision`; the :class:`~repro.cluster.cluster.
 Cluster` executes it (spins up a fleet, or marks one draining and
 retires it).  Keeping decide/execute split makes the policy unit-
 testable with synthetic signals and keeps the autoscaler free of any
-threading concerns: it runs only on the cluster's control thread and
+threading concerns: it runs only inside the cluster's control ticks and
 holds no locks.
 
 Hysteresis, three ways, because a single-threshold scaler flaps:
@@ -14,7 +14,7 @@ Hysteresis, three ways, because a single-threshold scaler flaps:
 * **streaks** — a scale-up needs ``up_ticks`` *consecutive* overloaded
   ticks; a scale-down needs ``down_ticks`` consecutive idle ticks.  One
   noisy window never moves the fleet count.
-* **cooldown** — after any action the scaler sleeps ``cooldown_ms`` of
+* **cooldown** — after any action the scaler holds off ``cooldown_ms`` of
   simulated time, long enough for the previous action's effect to show
   up in the windowed signals before it acts again.
 * **asymmetric thresholds** — the scale-down utilization bar sits far

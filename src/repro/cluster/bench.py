@@ -27,19 +27,13 @@ from repro.cluster.deploy import SLOPolicy
 from repro.cluster.invariants import verify_cluster_invariants
 from repro.errors import VerificationError
 from repro.mcu.fastpath import DEFAULT_ENGINE
+from repro.serve.pool import fleet_capacity_rps
 from repro.serve.registry import ModelArtifact
 from repro.serve.runtime import ServeConfig
 from repro.serve.trace import synthetic_trace
 
 DEFAULT_FLEET_COUNTS = (1, 2, 4)
 DEFAULT_POLICIES = ("hash", "least-queue-wait")
-
-
-def fleet_capacity_rps(
-    artifact: ModelArtifact, devices_per_fleet: int
-) -> float:
-    """Ideal single-fleet service rate, requests per simulated second."""
-    return devices_per_fleet * 1e3 / artifact.deployment.latency_ms
 
 
 def run_cluster_once(

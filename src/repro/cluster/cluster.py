@@ -9,31 +9,29 @@ shards from live windowed signals, and at most one active
 :class:`~repro.cluster.deploy.Deployer` rolling a new model version
 across shards with zero lost requests.
 
-Control plane vs data plane:
+Everything runs on the simulated clock.  Advancing the cluster to time
+``t`` runs every control tick at a ``tick_ms`` boundary ``<= t``, in
+order — before each tick every fleet's event loop is advanced to that
+boundary — and then advances the fleets to ``t``.  A control tick
+samples fleet signals, advances any rolling deploy, then lets the
+autoscaler act.  Deploys freeze the autoscaler — resizing the fleet set
+mid-rollout would make "which fleets run the new model" moot.
 
-* the **data plane** (:meth:`submit`) may be called from many producer
-  threads; it routes, offers to the chosen fleet, and — when a fleet
-  quiesced between routing and offering — re-routes, so a submit never
-  silently vanishes.  Every submitted request id is recorded, which is
-  what lets :func:`~repro.cluster.invariants.verify_cluster_invariants`
-  prove none were lost.
-* the **control plane** (:meth:`tick`) runs on one thread (the caller's
-  replay loop or the soak driver's main thread) on the *simulated*
-  clock: sample fleet signals, advance any rolling deploy, then let the
-  autoscaler act.  Deploys freeze the autoscaler — resizing the fleet
-  set mid-rollout would make "which fleets run the new model" moot.
-
-Lock discipline: ``_lock`` guards fleet membership, ``_submit_lock``
-guards the submitted-id ledger; both are leaf-level (never held across
-fleet or runtime calls), as are the router's and fleets' locks — the
-strict :class:`~repro.analysis.concurrency.LockOrderSanitizer` verifies
-zero lock nesting across the entire cluster in the soak harness.
+:meth:`Cluster.submit` advances to the request's arrival, then routes
+and offers it, and records the request id — the ledger
+:func:`~repro.cluster.invariants.verify_cluster_invariants` checks to
+prove no request was lost.  Submits may come from many producer
+threads: one cluster lock serializes them with the control ticks they
+drive, so generation swaps are atomic with respect to every submit.
+Under it sit each runtime's lock, then the leaf-level router, registry,
+metric and tracer locks; the strict
+:class:`~repro.analysis.concurrency.LockOrderSanitizer` checks that
+order in the soak harness.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -43,7 +41,8 @@ from repro.cluster.autoscaler import (
     AutoscalerConfig,
 )
 from repro.cluster.deploy import DONE, Deployer, DeployEvent, SLOPolicy
-from repro.cluster.fleet import ACTIVE, DRAINING, Fleet, FleetSignals
+from repro.analysis.annotations import guarded_by
+from repro.cluster.fleet import ACTIVE, DRAINING, Fleet
 from repro.cluster.router import ROUTER_POLICIES, Router
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.registry import ModelArtifact
@@ -193,16 +192,15 @@ class Cluster:
         self._fleets: list[Fleet] = []          # guarded_by: _lock
         self._retired_fleets: list[Fleet] = []  # guarded_by: _lock
         self._next_fleet_id = 0                 # guarded_by: _lock
-        self._submit_lock = threading.Lock()
-        self._submitted_ids: list[int] = []     # guarded_by: _submit_lock
-        self._deployer: Deployer | None = None  # control thread only
-        self._deploy_history: list[Deployer] = []
+        self._submitted_ids: list[int] = []     # guarded_by: _lock
+        self._ticks_run = 0                     # guarded_by: _lock
+        self._deployer: Deployer | None = None  # guarded_by: _lock
+        self._deploy_history: list[Deployer] = []  # guarded_by: _lock
         self._pending_deploys: list[
             tuple[float, ModelArtifact, SLOPolicy | None]
-        ] = []                                   # control thread only
-        self._last_tick_ms = 0.0                 # control thread only
+        ] = []                                   # guarded_by: _lock
         self._sanitizer = None       # set by instrument_cluster pre-start
-        self._started = False
+        self._started = False                    # guarded_by: _lock
 
     # -- lifecycle -------------------------------------------------------
 
@@ -213,11 +211,12 @@ class Cluster:
         first (``instrument_cluster``) and every lock in every fleet is
         wrapped from birth.
         """
-        if self._started:
-            raise ServeError("cluster already started")
-        self._started = True
-        for _ in range(self.config.n_fleets):
-            self._add_fleet()
+        with self._lock:
+            if self._started:
+                raise ServeError("cluster already started")
+            self._started = True
+            for _ in range(self.config.n_fleets):
+                self._add_fleet()
 
     def __enter__(self) -> "Cluster":
         self.start()
@@ -226,10 +225,10 @@ class Cluster:
     def __exit__(self, *exc_info) -> None:
         self.drain()
 
+    @guarded_by("_lock")
     def _add_fleet(self) -> Fleet:
-        with self._lock:
-            fleet_id = self._next_fleet_id
-            self._next_fleet_id += 1
+        fleet_id = self._next_fleet_id
+        self._next_fleet_id += 1
         fleet = Fleet(
             fleet_id,
             self._artifacts[fleet_id % len(self._artifacts)],
@@ -238,91 +237,65 @@ class Cluster:
             sanitizer=self._sanitizer,
             signal_window_ms=self.config.signal_window_ms,
         )
-        with self._lock:
-            self._fleets.append(fleet)
+        self._fleets.append(fleet)
         return fleet
 
+    @guarded_by("_lock")
     def _remove_fleet(self, fleet: Fleet) -> None:
         """Scale-down: stop routing to the fleet, then drain it."""
         fleet.state = DRAINING       # router skips it from here on
-        fleet.shutdown()             # quiesce + drain backlog, outside locks
-        with self._lock:
-            self._fleets.remove(fleet)
-            self._retired_fleets.append(fleet)
+        fleet.shutdown()             # drains the backlog to completion
+        self._fleets.remove(fleet)
+        self._retired_fleets.append(fleet)
 
     def drain(self) -> None:
         """Finish any rolling deploy, then retire every fleet."""
-        self._finish_deploys()
-        while True:
-            with self._lock:
-                fleet = self._fleets[0] if self._fleets else None
-            if fleet is None:
-                break
-            self._remove_fleet(fleet)
+        with self._lock:
+            self._finish_deploys()
+            while self._fleets:
+                self._remove_fleet(self._fleets[0])
 
     # -- introspection ---------------------------------------------------
 
     @property
     def fleets(self) -> list[Fleet]:
-        """Live fleet membership (racy snapshot; fine for routing)."""
+        """Live fleet membership (a snapshot)."""
         with self._lock:
             return list(self._fleets)
-
-    @property
-    def n_fleets(self) -> int:
-        with self._lock:
-            return len(self._fleets)
-
-    def clock_ms(self) -> float:
-        """Furthest simulated time any live fleet has reached."""
-        return max((f.clock_ms() for f in self.fleets), default=0.0)
-
-    @property
-    def control_ms(self) -> float:
-        """Simulated time of the latest control tick (racy read).
-
-        External paced producers gate on this rather than the device
-        clock: devices can burn through a whole backlog between two
-        wall-clock slices of the control thread, but control time only
-        advances tick by tick, so pacing against it keeps traffic
-        flowing *while* the control loop (deploy probes, autoscaler)
-        observes it.
-        """
-        return self._last_tick_ms
-
-    def signals(self) -> list[FleetSignals]:
-        return [f.signals() for f in self.fleets]
 
     # -- data plane ------------------------------------------------------
 
     def submit(self, request: InferenceRequest) -> bool:
-        """Route and offer one request; True admitted, False shed.
-
-        A fleet that quiesced between routing and offering returns
-        ``None`` from :meth:`Fleet.submit`; the request was not offered
-        anywhere yet, so we simply route again.  With at least one
-        ACTIVE fleet this terminates: a fleet only refuses while its
-        generation pointer is None, which for ACTIVE fleets is the
-        instants around a cutover swap.
-        """
-        if not self._started:
-            raise ServeError("cluster not started; call start()")
-        while True:
-            fleet = self.router.route(request, self.fleets)
+        """Advance to the arrival, then route and offer one request;
+        True admitted, False shed."""
+        with self._lock:
+            if not self._started:
+                raise ServeError("cluster not started; call start()")
+            self._advance(request.arrival_ms)
+            fleet = self.router.route(request, self._fleets)
             verdict = fleet.submit(request)
-            if verdict is not None:
-                with self._submit_lock:
-                    self._submitted_ids.append(request.request_id)
-                return verdict
-            time.sleep(0.0005)       # cutover in progress; re-route
+            self._submitted_ids.append(request.request_id)
+            return verdict
 
-    # -- control plane (single control thread) ---------------------------
+    # -- the simulated clock ---------------------------------------------
 
-    def tick(self, now_ms: float) -> None:
+    @guarded_by("_lock")
+    def _advance(self, t_ms: float) -> None:
+        """Run every control tick due by simulated ``t_ms``, then
+        advance every fleet to ``t_ms``."""
+        while (self._ticks_run + 1) * self.config.tick_ms <= t_ms:
+            self._ticks_run += 1
+            now = self._ticks_run * self.config.tick_ms
+            for fleet in self._fleets:
+                fleet.advance_to(now)
+            self._tick(now)
+        for fleet in self._fleets:
+            fleet.advance_to(t_ms)
+
+    @guarded_by("_lock")
+    def _tick(self, now_ms: float) -> None:
         """One control-loop step at simulated time ``now_ms``."""
-        self._last_tick_ms = max(self._last_tick_ms, now_ms)
-        fleets = self.fleets
-        for fleet in fleets:
+        for fleet in self._fleets:
             fleet.sample(now_ms)
         self._maybe_start_deploy(now_ms)
         if self._deployer is not None and self._deployer.active:
@@ -335,18 +308,20 @@ class Cluster:
             return                   # autoscaler frozen during deploys
         if self.autoscaler is None:
             return
-        decision = self.autoscaler.decide(now_ms, self.signals())
+        decision = self.autoscaler.decide(
+            now_ms, [f.signals() for f in self._fleets]
+        )
         if decision is None:
             return
         if decision.action == SCALE_UP:
             self._add_fleet()
         else:
             victim = max(
-                (f for f in fleets if f.state == ACTIVE),
+                (f for f in self._fleets if f.state == ACTIVE),
                 key=lambda f: f.fleet_id,
                 default=None,
             )
-            if victim is not None and self.n_fleets > 1:
+            if victim is not None and len(self._fleets) > 1:
                 self._remove_fleet(victim)
 
     def schedule_deploy(
@@ -356,9 +331,11 @@ class Cluster:
         slo: SLOPolicy | None = None,
     ) -> None:
         """Queue a rolling deploy to fire at simulated time ``at_ms``."""
-        self._pending_deploys.append((at_ms, artifact, slo))
-        self._pending_deploys.sort(key=lambda entry: entry[0])
+        with self._lock:
+            self._pending_deploys.append((at_ms, artifact, slo))
+            self._pending_deploys.sort(key=lambda entry: entry[0])
 
+    @guarded_by("_lock")
     def _maybe_start_deploy(self, now_ms: float) -> None:
         if self._deployer is not None and self._deployer.active:
             return
@@ -368,60 +345,22 @@ class Cluster:
         if now_ms < at_ms:
             return
         self._pending_deploys.pop(0)
-        self._deployer = Deployer(self.fleets, artifact, slo=slo)
+        self._deployer = Deployer(self._fleets, artifact, slo=slo)
         self._deploy_history.append(self._deployer)
 
+    @guarded_by("_lock")
     def _finish_deploys(self) -> None:
-        """Drive any in-flight/pending deploy to a terminal state."""
-        guard = 10_000
-        while guard > 0 and (
-            self._pending_deploys
-            or (self._deployer is not None and self._deployer.active)
+        """Tick on until every pending and active deploy is terminal."""
+        while self._pending_deploys or (
+            self._deployer is not None and self._deployer.active
         ):
-            guard -= 1
-            self._last_tick_ms += self.config.tick_ms
-            self.tick(max(self._last_tick_ms, self.clock_ms()))
-            # Give worker threads wall-clock time to serve any probe
-            # backlog; simulated time advances tick-by-tick regardless,
-            # so a genuinely goodput-free probe still times out.
-            time.sleep(0.0005)
-        if guard == 0:
-            raise ServeError("deploy failed to converge during drain")
+            self._advance((self._ticks_run + 1) * self.config.tick_ms)
 
     # -- replay ----------------------------------------------------------
 
-    def replay(
-        self, trace: list[InferenceRequest], pace: bool = True
-    ) -> ClusterReport:
-        """Drive an open-loop trace through the cluster, then drain.
-
-        Single-threaded and deterministic: requests are routed in
-        arrival order, the control loop ticks whenever the trace clock
-        crosses a tick boundary, and (with ``pace=True``) submission
-        waits for the routed fleet's backlog to clear up to each
-        request's arrival time, approximating open-loop arrivals on the
-        simulated clock.
-        """
-        next_tick = self.config.tick_ms
+    def replay(self, trace: list[InferenceRequest]) -> ClusterReport:
+        """Open-loop replay: submit the whole trace, drain, report."""
         for request in trace:
-            while request.arrival_ms >= next_tick:
-                self.tick(next_tick)
-                next_tick += self.config.tick_ms
-            if pace:
-                deadline = time.monotonic() + 30.0
-                while True:
-                    fleet = self.router.route(request, self.fleets)
-                    if (
-                        fleet.queue_depth() == 0
-                        or fleet.clock_ms() >= request.arrival_ms
-                    ):
-                        break
-                    if time.monotonic() > deadline:
-                        raise ServeError(
-                            "paced replay stalled waiting for fleet "
-                            f"{fleet.name}"
-                        )
-                    time.sleep(0.0002)
             self.submit(request)
         self.drain()
         return self.report()
@@ -444,15 +383,16 @@ class Cluster:
 
     @property
     def submitted_ids(self) -> list[int]:
-        with self._submit_lock:
+        with self._lock:
             return list(self._submitted_ids)
 
     def deploy_events(self) -> list[DeployEvent]:
-        return [
-            event
-            for deployer in self._deploy_history
-            for event in deployer.events
-        ]
+        with self._lock:
+            return [
+                event
+                for deployer in self._deploy_history
+                for event in deployer.events
+            ]
 
     def report(self) -> ClusterReport:
         """Terminal cluster accounting; call after :meth:`drain`."""

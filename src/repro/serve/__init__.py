@@ -23,6 +23,8 @@ from repro.serve.pool import (
     DeviceExecution,
     SimulatedDevice,
     build_pool,
+    fleet_capacity_rps,
+    service_ms_per_request,
 )
 from repro.serve.registry import (
     ModelArtifact,
@@ -82,7 +84,9 @@ __all__ = [
     "TraceCollector",
     "build_pool",
     "content_hash",
+    "fleet_capacity_rps",
     "merged_chrome_trace",
+    "service_ms_per_request",
     "synthetic_trace",
     "verify_trace_invariants",
 ]

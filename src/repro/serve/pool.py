@@ -8,8 +8,8 @@ the interpreter charges, converted at the board's frequency, so latency
 and utilization are reported in the same simulated-time domain as every
 other number in this repository.
 
-A device is driven by exactly one worker thread, so its mutable state
-needs no locking; cross-device coordination happens in the scheduler.
+A device is only ever driven by its runtime's event loop, under the
+runtime's lock, so its own mutable state needs no locking.
 """
 
 from __future__ import annotations
@@ -29,6 +29,24 @@ from repro.serve.tracing import Span, TraceCollector
 #: Fixed per-dispatch cost (host link interrupt + input DMA setup),
 #: charged once per *batch* — the cycles batching amortizes.
 DISPATCH_OVERHEAD_CYCLES = 2_000
+
+
+def service_ms_per_request(artifact: ModelArtifact, max_batch: int) -> float:
+    """Simulated device time per request when batches are full.
+
+    One inference plus a ``1/max_batch`` share of the per-batch dispatch
+    overhead, both at the artifact's board clock.
+    """
+    overhead_ms = artifact.board.cycles_to_ms(DISPATCH_OVERHEAD_CYCLES)
+    return artifact.deployment.latency_ms + overhead_ms / max_batch
+
+
+def fleet_capacity_rps(
+    artifact: ModelArtifact, n_devices: int, max_batch: int = 4
+) -> float:
+    """Ideal service rate of ``n_devices`` boards, requests per
+    simulated second (``max_batch`` defaults to ``ServeConfig``'s)."""
+    return n_devices * 1e3 / service_ms_per_request(artifact, max_batch)
 
 
 @dataclass(frozen=True)
@@ -64,8 +82,8 @@ class SimulatedDevice:
             IntermittentDeployment(self.deployed, self.board)
             if power_budget is not None else None
         )
-        # -- simulated-time accounting (single-writer: this device's
-        #    worker thread) --------------------------------------------
+        # -- simulated-time accounting (written by the runtime's event
+        #    loop only) -------------------------------------------------
         self.clock_ms = 0.0
         self.busy_ms = 0.0
         self.completed = 0

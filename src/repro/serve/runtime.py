@@ -2,35 +2,44 @@
 
 :class:`ServeRuntime` wires the subsystem together: a verified
 :class:`~repro.serve.registry.ModelArtifact` is replicated onto
-``n_devices`` simulated boards, each driven by its own worker thread;
-requests enter through admission control into one shared policy-ordered
-queue; workers take batches, execute them cycle-exactly (on the fastpath
-translating engine by default — ``ServeConfig.engine`` selects the
-reference interpreter, or ``"fastpath-v2"``, which serves each admitted
-batch in one content-specialized fused call with unchanged per-request
-accounting), and retry brown-outs on healthy devices
-with capped exponential backoff.  Every offered request ends in exactly one terminal
-outcome — completed, rejected, or failed — so the conservation law
+``n_devices`` simulated boards; requests enter through admission control
+into one shared policy-ordered queue; devices take batches, execute them
+cycle-exactly (on the fastpath translating engine by default —
+``ServeConfig.engine`` selects the reference interpreter, or
+``"fastpath-v2"``, which serves each admitted batch in one
+content-specialized fused call with unchanged per-request accounting),
+and retry brown-outs on healthy devices with capped exponential backoff.
+Every offered request ends in exactly one terminal outcome — completed,
+rejected, or failed — so the conservation law
 
     completed + rejected + failed == offered
 
 holds under any fault plan; tests assert it.
 
-Concurrency model: real threads execute simulated devices concurrently
-(the interpreter is pure Python, so device workers interleave on the
-GIL but block only in the queue).  All *reported times are simulated
-milliseconds*: each device advances its own clock by the cycles it
-charges, and a request's latency is its completion time minus its trace
-arrival time on that shared simulated timeline.
+Execution model: one discrete-event loop on the simulated clock
+(:meth:`ServeRuntime.advance_to`).  It repeatedly starts the device that
+can begin a batch soonest — at ``max(device clock, earliest eligibility
+of a request it may serve)``, ties broken by device id — so which
+device serves which request, and when, is a pure function of the trace
+and the configuration.  No worker threads exist: ``submit()`` advances
+the loop to the request's arrival before deciding admission, and
+``drain()`` runs it to the end.  All *reported times are simulated
+milliseconds*: a request's latency is its completion time minus its
+trace arrival time.
+
+Concurrency: ``submit()`` may be called from many producer threads.
+One lock per runtime serializes them and the event loop they drive;
+the metric, tracer and registry locks taken under it are leaf-level.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.analysis.annotations import guarded_by
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -42,7 +51,7 @@ from repro.errors import (
 from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES
 from repro.mcu.intermittent import PowerBudget
 from repro.serve.faults import FaultInjector, FaultPlan
-from repro.serve.metrics import Histogram, MetricsRegistry
+from repro.serve.metrics import Gauge, Histogram, MetricsRegistry
 from repro.serve.pool import SimulatedDevice, build_pool
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import (
@@ -77,9 +86,9 @@ class ServeConfig:
     shed_expired: bool = True
     #: Sim-time load shedding: reject a first-attempt request whose queue
     #: wait (device start − arrival, simulated ms) exceeds this bound.
-    #: The depth bound protects host memory; this bound is what keeps
-    #: *simulated* tail latency finite under open-loop overload, where
-    #: real-time queue occupancy depends on host speed, not offered load.
+    #: The depth bound caps how many requests wait at once; this bound
+    #: caps how long each waits, which is what keeps *simulated* tail
+    #: latency finite under sustained open-loop overload.
     max_queue_wait_ms: float | None = None
     power_budget: PowerBudget | None = None
     fault_plan: FaultPlan | None = None
@@ -188,44 +197,32 @@ class ServeRuntime:
             tracer=self.tracer,
         )
         self.metrics.label("engine", self.config.engine)
+        self._depth_gauge: Gauge = self.metrics.gauge("queue.depth")
         self.queue = BoundedRequestQueue(
             policy=self.config.policy,
             max_depth=self.config.max_queue_depth,
             n_devices=self.config.n_devices,
         )
-        self._threads: list[threading.Thread] = []
-        self._outcomes: list[ServeOutcome] = []  # guarded_by: _outcome_lock
-        self._outcome_lock = threading.Lock()
-        # Guards the admission-side tallies below: `submit()` may be
-        # called from many producer threads, and `n += 1` is not atomic.
-        self._arrival_lock = threading.Lock()
-        self._offered = 0  # guarded_by: _arrival_lock
-        self._last_arrival_ms = 0.0  # guarded_by: _arrival_lock
-        self._started = False
+        # The one runtime lock: `submit()` may be called from many
+        # producer threads, and each call drives the event loop.
+        self._lock = threading.Lock()
+        self._outcomes: list[ServeOutcome] = []  # guarded_by: _lock
+        self._offered = 0  # guarded_by: _lock
+        self._last_arrival_ms = 0.0  # guarded_by: _lock
+        self._started = False  # guarded_by: _lock
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for device in self.devices:
-            thread = threading.Thread(
-                target=self._worker,
-                args=(device,),
-                name=f"serve-device-{device.device_id}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+        with self._lock:
+            self._started = True
 
     def drain(self) -> None:
-        """Stop admissions, serve everything queued, join the workers."""
-        self.queue.close()
-        for thread in self._threads:
-            thread.join()
-        self._threads.clear()
-        self._started = False
+        """Stop admissions and serve everything queued to completion."""
+        with self._lock:
+            self.queue.close()
+            self._advance(math.inf)
+            self._started = False
 
     def __enter__(self) -> "ServeRuntime":
         self.start()
@@ -237,94 +234,89 @@ class ServeRuntime:
     # -- producer API ----------------------------------------------------
 
     def submit(self, request: InferenceRequest) -> bool:
-        """Offer one request; returns False when admission shed it."""
-        if not self._started:
-            raise ServeError("runtime not started (use start() or `with`)")
-        with self._arrival_lock:
+        """Offer one request; returns False when admission shed it.
+
+        The event loop first advances to the request's arrival, so
+        admission sees the queue depth at that simulated instant — and
+        the request is queued before any device starts a batch at it.
+        """
+        with self._lock:
+            if not self._started:
+                raise ServeError(
+                    "runtime not started (use start() or `with`)"
+                )
             self._offered += 1
             self._last_arrival_ms = max(self._last_arrival_ms,
                                         request.arrival_ms)
-        self.metrics.counter("requests.offered").inc()
-        try:
-            self.queue.offer(request)
-        except AdmissionError as exc:
-            self._record(
-                ServeOutcome(
-                    request_id=request.request_id,
-                    status=REJECTED,
-                    attempts=request.attempts,
-                    reason=exc.reason,
+            self._advance(request.arrival_ms)
+            self.metrics.counter("requests.offered").inc()
+            try:
+                self.queue.offer(request)
+            except AdmissionError as exc:
+                self._record(
+                    ServeOutcome(
+                        request_id=request.request_id,
+                        status=REJECTED,
+                        attempts=request.attempts,
+                        reason=exc.reason,
+                    )
                 )
-            )
-            self._span(request, "shed", request.arrival_ms,
-                       detail=exc.reason)
-            self.metrics.counter("requests.rejected").inc()
-            self.metrics.counter(f"rejected.{exc.reason}").inc()
-            return False
-        self._span(request, "admitted", request.arrival_ms)
-        self.metrics.gauge("queue.depth").set(self.queue.depth)
-        return True
+                self._span(request, "shed", request.arrival_ms,
+                           detail=exc.reason)
+                self.metrics.counter("requests.rejected").inc()
+                self.metrics.counter(f"rejected.{exc.reason}").inc()
+                return False
+            self._span(request, "admitted", request.arrival_ms)
+            self._depth_gauge.set(self.queue.depth)
+            return True
 
-    def replay(
-        self, trace: list[InferenceRequest], *, pace: bool = True
-    ) -> ServeReport:
-        """Open-loop replay: offer the whole trace, drain, report.
-
-        With ``pace`` (the default) arrivals are gated on the fleet's
-        *simulated* clock: while a backlog exists, a request is not
-        offered until the fleet has simulated up to its arrival time.
-        Without pacing the driver floods the queue at host speed, and
-        queue-depth rejections measure the host's interpreter speed
-        rather than offered load versus fleet capacity.  Instantaneous
-        bursts still hit the depth bound; sustained overload surfaces
-        as growing simulated queue wait (see ``max_queue_wait_ms``).
-        """
+    def replay(self, trace: list[InferenceRequest]) -> ServeReport:
+        """Open-loop replay: offer the whole trace, drain, report."""
         self.start()
         for request in trace:
-            if pace:
-                while (
-                    self.queue.depth > 0
-                    and self._fleet_clock_ms() < request.arrival_ms
-                ):
-                    time.sleep(0.0002)
             self.submit(request)
         self.drain()
         return self.report()
 
-    def _fleet_clock_ms(self) -> float:
-        """How far the fleet has simulated (furthest device clock).
+    def advance_to(self, t_ms: float) -> None:
+        """Run every batch that starts before simulated time ``t_ms``."""
+        with self._lock:
+            self._advance(t_ms)
 
-        Racy cross-thread float reads are fine here: the value is used
-        only to pace the replay driver, never for accounting.
-        """
-        return max(device.clock_ms for device in self.devices)
+    # -- the event loop --------------------------------------------------
 
-    # -- worker side -----------------------------------------------------
-
-    def _worker(self, device: SimulatedDevice) -> None:
+    @guarded_by("_lock")
+    def _advance(self, until_ms: float) -> None:
+        """Start batches, soonest device first, until none starts
+        before ``until_ms``."""
         while True:
-            batch = self.queue.take_batch(
-                device.device_id, self.config.max_batch
+            ready = self.queue.ready_ms()
+            start, device_id = min(
+                (max(device.clock_ms, ready[device.device_id]),
+                 device.device_id)
+                for device in self.devices
             )
-            if batch is None:
+            if start >= until_ms:
                 return
-            if not batch:
-                continue
-            try:
-                device.begin_dispatch(
-                    min(r.earliest_start_ms for r in batch)
-                )
-                self.metrics.counter("batches.dispatched").inc()
-                self.metrics.histogram("batch_size").observe(len(batch))
-                if device.supports_batch_fusion:
-                    self._serve_batch_fused(device, batch)
-                else:
-                    for request in batch:
-                        self._serve_one(device, request)
-            finally:
-                self.queue.batch_done()
-            self.metrics.gauge("queue.depth").set(self.queue.depth)
+            self._dispatch(self.devices[device_id], start)
 
+    @guarded_by("_lock")
+    def _dispatch(self, device: SimulatedDevice, start_ms: float) -> None:
+        """One batch on ``device``, starting at simulated ``start_ms``."""
+        batch = self.queue.take_batch(
+            device.device_id, self.config.max_batch, start_ms
+        )
+        device.begin_dispatch(start_ms)
+        self.metrics.counter("batches.dispatched").inc()
+        self.metrics.histogram("batch_size").observe(len(batch))
+        if device.supports_batch_fusion:
+            self._serve_batch_fused(device, batch)
+        else:
+            for request in batch:
+                self._serve_one(device, request)
+        self._depth_gauge.set(self.queue.depth)
+
+    @guarded_by("_lock")
     def _serve_one(
         self, device: SimulatedDevice, request: InferenceRequest
     ) -> None:
@@ -337,6 +329,7 @@ class ServeRuntime:
             return
         self._execute_and_complete(device, request)
 
+    @guarded_by("_lock")
     def _serve_batch_fused(
         self, device: SimulatedDevice, batch: list[InferenceRequest]
     ) -> None:
@@ -392,6 +385,7 @@ class ServeRuntime:
         for request, execution in zip(runnable, executions):
             self._complete(device, request, execution)
 
+    @guarded_by("_lock")
     def _preflight(
         self,
         device: SimulatedDevice,
@@ -474,6 +468,7 @@ class ServeRuntime:
         self._span(request, "queued", queued_from, service_start)
         return True
 
+    @guarded_by("_lock")
     def _execute_and_complete(
         self, device: SimulatedDevice, request: InferenceRequest
     ) -> None:
@@ -501,8 +496,8 @@ class ServeRuntime:
             return
         except ReproError as exc:
             # Any other library error is terminal for this request but
-            # must never kill the worker thread: conservation requires
-            # one outcome per offered request.
+            # must never stop the event loop: conservation requires one
+            # outcome per offered request.
             self._record(
                 ServeOutcome(
                     request_id=request.request_id,
@@ -518,6 +513,7 @@ class ServeRuntime:
             return
         self._complete(device, request, execution)
 
+    @guarded_by("_lock")
     def _complete(
         self,
         device: SimulatedDevice,
@@ -545,6 +541,7 @@ class ServeRuntime:
         self.metrics.histogram("queue_ms").observe(queue_wait)
         self.metrics.histogram("cycles").observe(execution.cycles)
 
+    @guarded_by("_lock")
     def _retry_or_fail(
         self, device: SimulatedDevice, request: InferenceRequest
     ) -> None:
@@ -613,36 +610,36 @@ class ServeRuntime:
             )
         )
 
+    @guarded_by("_lock")
     def _record(self, outcome: ServeOutcome) -> None:
-        with self._outcome_lock:
-            self._outcomes.append(outcome)
+        self._outcomes.append(outcome)
 
     @property
     def outcomes(self) -> tuple[ServeOutcome, ...]:
-        with self._outcome_lock:
+        with self._lock:
             return tuple(self._outcomes)
 
     def report(self) -> ServeReport:
-        outcomes = self.outcomes
-        with self._arrival_lock:
+        with self._lock:
+            outcomes = tuple(self._outcomes)
             offered = self._offered
-            last_arrival_ms = self._last_arrival_ms
+            makespan = max(
+                [self._last_arrival_ms]
+                + [device.clock_ms for device in self.devices]
+            )
+            utilization = {
+                f"device.{device.device_id}": device.utilization(makespan)
+                for device in self.devices
+            }
+            busy = {
+                f"device.{device.device_id}": device.busy_ms
+                for device in self.devices
+            }
         completed = sum(1 for o in outcomes if o.status == COMPLETED)
         rejected = sum(1 for o in outcomes if o.status == REJECTED)
         failed = sum(1 for o in outcomes if o.status == FAILED)
-        makespan = max(
-            [last_arrival_ms]
-            + [device.clock_ms for device in self.devices]
-        )
-        utilization = {}
-        busy = {}
-        for device in self.devices:
-            value = device.utilization(makespan)
-            utilization[f"device.{device.device_id}"] = value
-            busy[f"device.{device.device_id}"] = device.busy_ms
-            self.metrics.gauge(
-                f"device.{device.device_id}.utilization"
-            ).set(value)
+        for name, value in utilization.items():
+            self.metrics.gauge(f"{name}.utilization").set(value)
         snapshot = self.metrics.snapshot()
         throughput = (
             completed / (makespan / 1e3) if makespan > 0.0 else 0.0

@@ -1,7 +1,9 @@
-"""Request scheduling: bounded queues, policies, batching, admission.
+"""Request scheduling: the bounded policy heap the event loop serves.
 
-The queue is the runtime's only shared mutable structure, so all
-cross-thread coordination lives here:
+The queue is plain data.  It holds no lock of its own: the owning
+:class:`~repro.serve.runtime.ServeRuntime` guards it with the runtime's
+one lock, and its event loop decides *when* a device takes a batch —
+the queue only answers *which* requests that batch holds.
 
 - **Bounded depth + admission control** — `offer()` sheds load with a
   typed :class:`~repro.errors.AdmissionError` when the queue is full
@@ -14,26 +16,24 @@ cross-thread coordination lives here:
   requests last.  Both are heaps over a policy-specific key with a
   monotonic sequence number as the tiebreaker, so equal keys still
   serve in arrival order.
-- **Batching** — a device takes up to ``max_batch`` requests per
-  dispatch; the fixed per-dispatch overhead is paid once per batch.
+- **Eligibility** — a request may not start before its
+  ``earliest_start_ms`` (arrival, or the end of its retry backoff).
+  `ready_ms()` tells the event loop when each device could next start;
+  `take_batch()` hands over up to ``max_batch`` requests eligible at
+  the start time, in policy order.
 - **Brown-out affinity** — a retried request remembers the device that
-  failed it (``avoid_device``); `take_batch()` skips those entries so
-  the retry lands on a healthy board (ignored for single-device pools,
-  where there is no healthier board to prefer).
-- **In-flight tracking** — a worker draining a closed queue only gets
-  the exit signal once no other worker holds an in-flight batch.  A
-  batch being executed elsewhere may still brown out and re-enter the
-  queue; exiting early could strand that retry with no worker willing
-  to take it.
+  failed it (``avoid_device``); neither `ready_ms()` nor `take_batch()`
+  offers it to that device, so the retry lands on a healthy board
+  (ignored for single-device pools, where there is no healthier board
+  to prefer).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
+import math
 
-from repro.analysis.annotations import guarded_by
 from repro.errors import AdmissionError, ConfigurationError
 from repro.serve.request import InferenceRequest
 
@@ -52,7 +52,7 @@ def _policy_key(policy: str, request: InferenceRequest) -> tuple:
 
 
 class BoundedRequestQueue:
-    """Thread-safe, policy-ordered, depth-bounded request queue."""
+    """Policy-ordered, depth-bounded request heap."""
 
     def __init__(
         self,
@@ -70,13 +70,9 @@ class BoundedRequestQueue:
         self.policy = policy
         self.max_depth = max_depth
         self.n_devices = n_devices
-        self._cv = threading.Condition()
-        self._heap: list[tuple[tuple, int, InferenceRequest]] = []  # guarded_by: _cv
-        self._closed = False  # guarded_by: _cv
+        self._heap: list[tuple[tuple, int, InferenceRequest]] = []
+        self._closed = False
         self._seq = itertools.count()
-        self._in_flight = 0  # guarded_by: _cv
-
-    # -- producer side ---------------------------------------------------
 
     def offer(self, request: InferenceRequest, *, force: bool = False) -> None:
         """Admit a request, or shed it with a typed rejection.
@@ -85,96 +81,68 @@ class BoundedRequestQueue:
         requests that were already admitted once — retries must never be
         re-subjected to admission control or they could be lost.
         """
-        with self._cv:
-            if not force:
-                if self._closed:
-                    raise AdmissionError(
-                        "runtime is draining; request not admitted",
-                        reason="draining",
-                    )
-                if len(self._heap) >= self.max_depth:
-                    raise AdmissionError(
-                        f"queue full ({self.max_depth} pending); "
-                        f"request {request.request_id} shed",
-                        reason="queue_full",
-                    )
-            request.seq = next(self._seq)
-            heapq.heappush(
-                self._heap,
-                (_policy_key(self.policy, request), request.seq, request),
-            )
-            self._cv.notify()
+        if not force:
+            if self._closed:
+                raise AdmissionError(
+                    "runtime is draining; request not admitted",
+                    reason="draining",
+                )
+            if len(self._heap) >= self.max_depth:
+                raise AdmissionError(
+                    f"queue full ({self.max_depth} pending); "
+                    f"request {request.request_id} shed",
+                    reason="queue_full",
+                )
+        request.seq = next(self._seq)
+        heapq.heappush(
+            self._heap,
+            (_policy_key(self.policy, request), request.seq, request),
+        )
 
     def close(self) -> None:
-        """Stop external admissions; wake consumers to drain and exit."""
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
+        """Stop external admissions (retries are still accepted)."""
+        self._closed = True
 
-    # -- consumer side ---------------------------------------------------
+    def _avoids(self, request: InferenceRequest, device_id: int) -> bool:
+        return self.n_devices > 1 and request.avoid_device == device_id
+
+    def ready_ms(self) -> list[float]:
+        """Per device id, the earliest eligibility of any pending request
+        that device may serve (``inf`` when there is none)."""
+        free = math.inf
+        avoiding: dict[int, float] = {}
+        for _key, _seq, request in self._heap:
+            ready = request.earliest_start_ms
+            avoid = request.avoid_device if self.n_devices > 1 else None
+            if avoid is None:
+                free = min(free, ready)
+            else:
+                avoiding[avoid] = min(avoiding.get(avoid, math.inf), ready)
+        return [
+            min([free] + [t for a, t in avoiding.items() if a != device])
+            for device in range(self.n_devices)
+        ]
 
     def take_batch(
-        self,
-        device_id: int,
-        max_batch: int,
-        timeout: float = 0.05,
-    ) -> list[InferenceRequest] | None:
-        """Up to ``max_batch`` requests for one dispatch.
-
-        Returns ``[]`` when nothing eligible arrived within ``timeout``
-        and ``None`` when the queue is closed, empty, and no other
-        worker holds an in-flight batch (the worker's signal to exit —
-        in-flight work elsewhere may yet brown out and re-enter).
-        Callers must pair every non-empty batch with one
-        :meth:`batch_done` call.
-        """
-        with self._cv:
-            while True:
-                batch, skipped_all = self._pop_eligible(
-                    device_id, max_batch
-                )
-                if skipped_all:
-                    # Everything pending avoids this device; let another
-                    # worker grab it.
-                    self._cv.notify()
-                if batch:
-                    self._in_flight += 1
-                    return batch
-                if (
-                    self._closed and not self._heap
-                    and self._in_flight == 0
-                ):
-                    return None
-                if not self._cv.wait(timeout):
-                    return []
-
-    @guarded_by("_cv")
-    def _pop_eligible(
-        self, device_id: int, max_batch: int
-    ) -> tuple[list[InferenceRequest], bool]:
-        """Pop up to ``max_batch`` heap entries this device may serve,
-        pushing back entries whose retry affinity avoids it.  Returns
-        the batch and whether *only* avoiding entries were pending."""
+        self, device_id: int, max_batch: int, now_ms: float = math.inf
+    ) -> list[InferenceRequest]:
+        """Pop up to ``max_batch`` requests, in policy order, that
+        ``device_id`` may serve and that are eligible at ``now_ms``."""
         batch, skipped = [], []
-        honour_avoid = self.n_devices > 1
         while self._heap and len(batch) < max_batch:
-            key, seq, request = heapq.heappop(self._heap)
-            if honour_avoid and request.avoid_device == device_id:
-                skipped.append((key, seq, request))
+            entry = heapq.heappop(self._heap)
+            request = entry[2]
+            if (
+                request.earliest_start_ms > now_ms
+                or self._avoids(request, device_id)
+            ):
+                skipped.append(entry)
             else:
                 batch.append(request)
         for entry in skipped:
             heapq.heappush(self._heap, entry)
-        return batch, bool(skipped) and not batch
-
-    def batch_done(self) -> None:
-        """Mark one taken batch as fully processed (retries included)."""
-        with self._cv:
-            self._in_flight -= 1
-            if self._in_flight == 0:
-                self._cv.notify_all()
+        return batch
 
     @property
     def depth(self) -> int:
-        with self._cv:
-            return len(self._heap)
+        return len(self._heap)

@@ -125,3 +125,24 @@ def test_corpus_pairs_are_complete():
         "bad_idle_clock.py", "bad_state_check.py",
         "bad_lock_cycle.py", "bad_hygiene.py",
     }
+
+
+class TestTypedCallResolution:
+    """Receivers typed by parameter-assigned attributes, attribute
+    chains, loops over typed attributes and annotated locals resolve;
+    an untyped receiver of an ambiguous method name does not."""
+
+    @pytest.fixture(scope="class")
+    def edges(self):
+        report = analyze_paths([CORPUS / "typed_calls.py"])
+        return set(report.graph.edges)
+
+    @pytest.mark.parametrize("outer", ["OuterChain", "OuterLoop",
+                                       "OuterLocal"])
+    def test_typed_receiver_resolves(self, edges, outer):
+        assert (f"typed_calls.{outer}._lock",
+                "typed_calls.Leaf._lock") in edges
+
+    def test_untyped_receiver_stays_unresolved(self, edges):
+        assert not any(src.startswith("typed_calls.OuterUntyped")
+                       for src, _ in edges)

@@ -172,8 +172,8 @@ class TestInstrumentedRuntime:
     def test_soak_scenario_with_sanitizer(self, small_artifact,
                                           digits_small):
         """A threaded replay through a fully instrumented runtime:
-        the statically derived order holds, strictly (no serve lock
-        is ever nested inside another)."""
+        the statically derived order holds, strictly (only the runtime
+        lock nests, and only into leaf locks)."""
         from pathlib import Path
 
         import repro
@@ -192,7 +192,7 @@ class TestInstrumentedRuntime:
                         max_queue_wait_ms=None),
         )
         instrument_runtime(runtime, sanitizer)
-        assert isinstance(runtime._arrival_lock, SanitizedLock)
+        assert isinstance(runtime._lock, SanitizedLock)
         trace = synthetic_trace(
             48, 500.0, 64, seed=3, inputs=digits_small.x_test,
         )

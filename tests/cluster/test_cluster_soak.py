@@ -2,8 +2,9 @@
 
 The ISSUE-7 acceptance run.  Four fleets of four devices each take an
 open-loop trace at ten times a single fleet's offered load from
-multi-threaded paced producers while the control loop ticks on the
-simulated clock.  Mid-replay, two rolling deploys fire:
+multi-threaded producers; every submit advances the cluster's simulated
+clock, running the control ticks due by its arrival.  Mid-replay, two
+rolling deploys fire:
 
 1. a *good* model (same architecture, different weights) — the SLO
    probe sees a cycles ratio of ~1.0 under live traffic and the deploy
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 
 from repro.analysis.concurrency import instrument_cluster
 from repro.cluster import (
@@ -80,23 +80,11 @@ def test_cluster_soak_overload_deploys_and_sanitizer(
     cluster.schedule_deploy(good_artifact, 0.35 * span_ms, slo=slo)
     cluster.schedule_deploy(slow_artifact, 0.75 * span_ms, slo=slo)
 
-    # Multi-threaded producers in two phases.  The first quarter of the
-    # trace floods in unpaced — at 10x load that overruns every fleet
-    # queue and forces shedding.  The rest is paced against the control
-    # loop's published tick time (NOT the device clock: devices burn
-    # through a backlog between two wall-clock slices of the control
-    # thread, so clock-paced traffic can end before the first tick).
-    # Control-paced traffic guarantees both deploy probes run under
-    # live load.
-    flood_cut = N_REQUESTS // 4
-    lead_ms = 2.0 * tick_ms
-
+    # Multi-threaded producers, each offering an interleaved slice of
+    # the trace.  Submits drive the control ticks, so both deploy
+    # probes run under live load.
     def produce(slice_index: int) -> None:
-        for index in range(slice_index, N_REQUESTS, N_PRODUCERS):
-            request = trace[index]
-            if index >= flood_cut:
-                while cluster.control_ms + lead_ms < request.arrival_ms:
-                    time.sleep(0.0002)
+        for request in trace[slice_index::N_PRODUCERS]:
             cluster.submit(request)
 
     producers = [
@@ -105,15 +93,9 @@ def test_cluster_soak_overload_deploys_and_sanitizer(
     ]
     for producer in producers:
         producer.start()
-    # Control loop on the main thread: one simulated tick per wall
-    # slice, which is exactly what the paced producers gate on.
-    now = 0.0
-    while any(p.is_alive() for p in producers):
-        now += tick_ms
-        cluster.tick(now)
-        time.sleep(0.001)
     for producer in producers:
-        producer.join()
+        producer.join(timeout=600)
+    assert not any(p.is_alive() for p in producers), "producer hung"
 
     cluster.drain()
     report = cluster.report()

@@ -72,12 +72,7 @@ class TestGoodDeploy:
         cluster.schedule_deploy(good_artifact, 4.0, slo=_SLO)
         # Drive the deploy to completion inside replay, then add a
         # fleet: it must flash the promoted target, not the old base.
-        trace = _trace(digits_small, n=200)
-        next_tick = 2.0
-        for request in trace:
-            while request.arrival_ms >= next_tick:
-                cluster.tick(next_tick)
-                next_tick += 2.0
+        for request in _trace(digits_small, n=200):
             cluster.submit(request)
         cluster._finish_deploys()
         fleet = cluster._add_fleet()

@@ -160,6 +160,16 @@ class TestRunSearch:
         second = self.run().to_json()
         assert first == second
 
+    def test_parallel_jobs_match_sequential(self, tmp_path, monkeypatch):
+        sequential = self.run()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cold"))
+        clear_memory_cache()
+        assert self.run(jobs=2).to_json() == sequential.to_json()
+
+    def test_candidates_actually_learn(self):
+        frontier = self.run().funnels["STM32F072RB"].frontier
+        assert max(p.accuracy for p in frontier) > 0.4  # chance is 0.1
+
     def test_multiboard_sweep_shares_units(self):
         report = self.run(boards=("STM32F072RB", "Kinetis-K64F"),
                           count=3, mode="flat")

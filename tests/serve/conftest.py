@@ -43,9 +43,10 @@ def serve_concurrency_report():
 def lock_sanitizer(serve_concurrency_report):
     """A strict runtime lock-order sanitizer for one test.
 
-    Strict mode asserts the static model exactly: serve locks are
-    leaf-level (the graph has no edges), so ANY nesting of two
-    sanitized locks — let alone out-of-order nesting — is a violation.
+    Strict mode asserts the static model exactly: only the runtime
+    lock nests, and only into the leaf locks the graph names, so any
+    other nesting of two sanitized locks — let alone out-of-order
+    nesting — is a violation.
     The teardown assertion makes every soak replay that instruments
     its runtime also validate acquisition order.
     """

@@ -15,8 +15,8 @@ assert on *every* run the invariants the tracer makes checkable:
 Every replay additionally runs under the strict runtime lock-order
 sanitizer (the ``lock_sanitizer`` fixture): the runtime's locks are
 swapped for instrumented wrappers that assert the statically derived
-acquisition order — serve locks are leaf-level, so any nesting at all
-fails the test at teardown.
+acquisition order — only the runtime lock nests, and only into leaf
+locks, so any other nesting fails the test at teardown.
 
 The regression classes at the bottom pin the concrete accounting and
 concurrency bugs the harness was built to expose; each fails on the
@@ -39,6 +39,7 @@ from repro.serve import (
     ServeConfig,
     ServeRuntime,
     SimulatedDevice,
+    fleet_capacity_rps,
     synthetic_trace,
     verify_trace_invariants,
 )
@@ -47,10 +48,6 @@ from repro.serve import (
 def _assert_invariants(report):
     violations = verify_trace_invariants(report)
     assert not violations, "\n".join(violations)
-
-
-def _capacity_rps(artifact, n_devices):
-    return n_devices * 1000.0 / artifact.deployment.latency_ms
 
 
 SCENARIOS = {
@@ -96,22 +93,22 @@ class TestSoakScenarios:
     def test_invariants_hold(self, name, small_artifact, digits_small,
                              lock_sanitizer):
         scenario = SCENARIOS[name]
-        rate = scenario["factor"] * _capacity_rps(
-            small_artifact, scenario["config"]["n_devices"]
+        config = ServeConfig(**{"max_queue_depth": 256,
+                                **scenario["config"]})
+        rate = scenario["factor"] * fleet_capacity_rps(
+            small_artifact, config.n_devices, config.max_batch
         )
         trace = synthetic_trace(
             120, rate, 64, seed=sum(map(ord, name)) % 1000,
             deadline_ms=scenario.get("deadline_ms"),
             inputs=digits_small.x_test,
         )
-        config = dict(max_queue_depth=256)
-        config.update(scenario["config"])
-        runtime = ServeRuntime(small_artifact, ServeConfig(**config))
+        runtime = ServeRuntime(small_artifact, config)
         instrument_runtime(runtime, lock_sanitizer)
         report = runtime.replay(trace)
         assert report.offered == 120
         _assert_invariants(report)
-        if config.get("engine") == "fastpath-v2":
+        if config.engine == "fastpath-v2":
             assert report.metrics["counters"].get("batches.fused", 0) > 0
 
     def test_multi_producer_overload_invariants(self, small_artifact,
@@ -119,7 +116,7 @@ class TestSoakScenarios:
                                                 lock_sanitizer):
         """Concurrent producers + faults + deadlines, unpaced flood."""
         trace = synthetic_trace(
-            160, 4.0 * _capacity_rps(small_artifact, 2), 64, seed=29,
+            160, 4.0 * fleet_capacity_rps(small_artifact, 2), 64, seed=29,
             deadline_ms=12.0, inputs=digits_small.x_test,
         )
         runtime = ServeRuntime(
@@ -264,7 +261,7 @@ class TestDispatchOverheadAccounting:
         # equal the summed execute/overhead/retry span durations even
         # when devices repeatedly go idle between sparse arrivals.
         trace = synthetic_trace(
-            40, 0.3 * _capacity_rps(small_artifact, 2), 64, seed=37,
+            40, 0.3 * fleet_capacity_rps(small_artifact, 2), 64, seed=37,
             inputs=digits_small.x_test,
         )
         report = ServeRuntime(
@@ -315,7 +312,7 @@ class TestRetryPastDeadline:
         # out: the shed/fail split must keep rejected == first-attempt
         # decisions and failed == post-admission outcomes.
         trace = synthetic_trace(
-            60, _capacity_rps(small_artifact, 2), 64, seed=41,
+            60, fleet_capacity_rps(small_artifact, 2), 64, seed=41,
             deadline_ms=4.0, inputs=digits_small.x_test,
         )
         runtime = ServeRuntime(

@@ -1,4 +1,4 @@
-"""The bounded queue: policies, admission, batching, drain."""
+"""The bounded queue: policies, admission, batching, eligibility."""
 
 import numpy as np
 import pytest
@@ -71,36 +71,31 @@ class TestBatchingAndDrain:
         assert len(queue.take_batch(device_id=0, max_batch=4)) == 4
         assert len(queue.take_batch(device_id=0, max_batch=4)) == 2
 
-    def test_take_after_close_drains_then_signals_exit(self):
-        queue = BoundedRequestQueue(max_depth=4)
-        queue.offer(_request(0))
-        queue.close()
-        assert [r.request_id
-                for r in queue.take_batch(0, max_batch=4)] == [0]
-        queue.batch_done()
-        assert queue.take_batch(0, max_batch=4) is None
 
-    def test_no_exit_signal_while_batches_in_flight(self):
-        # Another worker's in-flight batch may brown out and re-enter
-        # the queue, so "closed and empty" alone must not signal exit.
+
+class TestEligibility:
+    def test_retry_not_taken_before_backoff_ends(self):
+        queue = BoundedRequestQueue(max_depth=8)
+        retry = _request(0, arrival_ms=1.0)
+        retry.backoff_ms = 4.0                       # eligible at 5.0
+        queue.offer(retry, force=True)
+        assert queue.ready_ms() == [5.0]
+        assert queue.take_batch(0, max_batch=4, now_ms=4.999) == []
+        assert queue.depth == 1
+        batch = queue.take_batch(0, max_batch=4, now_ms=5.0)
+        assert [r.request_id for r in batch] == [0]
+
+    def test_only_eligible_requests_join_a_batch(self):
+        queue = BoundedRequestQueue(max_depth=8)
+        for i, arrival in enumerate((0.0, 2.0, 1.0)):
+            queue.offer(_request(i, arrival_ms=arrival))
+        batch = queue.take_batch(0, max_batch=4, now_ms=1.0)
+        assert [r.request_id for r in batch] == [0, 2]   # policy order
+        assert queue.ready_ms() == [2.0]
+
+    def test_empty_queue_has_nothing_ready(self):
         queue = BoundedRequestQueue(max_depth=4, n_devices=2)
-        queue.offer(_request(0))
-        queue.close()
-        assert queue.take_batch(0, max_batch=4)          # in flight
-        assert queue.take_batch(1, max_batch=4,
-                                timeout=0.01) == []      # not None
-        queue.offer(_request(0, avoid_device=0), force=True)  # retry
-        retry = queue.take_batch(1, max_batch=4)
-        assert [r.request_id for r in retry] == [0]
-        queue.batch_done()
-        queue.batch_done()
-        assert queue.take_batch(1, max_batch=4) is None
-
-    def test_empty_take_times_out(self):
-        queue = BoundedRequestQueue(max_depth=4)
-        assert queue.take_batch(0, max_batch=4, timeout=0.01) == []
-
-
+        assert queue.ready_ms() == [float("inf"), float("inf")]
 class TestBrownoutAffinity:
     def test_avoided_device_skips_retry(self):
         queue = BoundedRequestQueue(max_depth=8, n_devices=2)
@@ -118,13 +113,14 @@ class TestBrownoutAffinity:
         batch = queue.take_batch(device_id=0, max_batch=4)
         assert [r.request_id for r in batch] == [0]
 
-    def test_avoid_honoured_during_drain(self):
-        # Draining must not hand a retry back to the board that browned
-        # it out: the other (still live) worker takes it instead.
+    def test_avoid_holds_at_simulated_time(self):
+        # The avoided device sees neither the retry's eligibility nor
+        # the retry itself, even once it is the only ready request.
         queue = BoundedRequestQueue(max_depth=8, n_devices=2)
-        queue.offer(_request(0, avoid_device=0), force=True)
-        queue.close()
-        assert queue.take_batch(device_id=0, max_batch=4,
-                                timeout=0.01) == []
-        batch = queue.take_batch(device_id=1, max_batch=4)
+        queue.offer(_request(0, arrival_ms=1.0, avoid_device=0),
+                    force=True)
+        queue.offer(_request(1, arrival_ms=3.0))
+        assert queue.ready_ms() == [3.0, 1.0]
+        assert queue.take_batch(0, max_batch=4, now_ms=2.0) == []
+        batch = queue.take_batch(1, max_batch=4, now_ms=2.0)
         assert [r.request_id for r in batch] == [0]
