@@ -46,6 +46,7 @@ from repro.serve import (
     ModelRegistry,
     ServeConfig,
     ServeRuntime,
+    fleet_capacity_rps,
     synthetic_trace,
     verify_trace_invariants,
 )
@@ -67,7 +68,7 @@ def _artifact():
 
 def test_soak_invariants_and_trace_export():
     artifact, dataset = _artifact()
-    capacity_rps = N_DEVICES * 1000.0 / artifact.deployment.latency_ms
+    capacity_rps = fleet_capacity_rps(artifact, N_DEVICES)
     trace = synthetic_trace(
         N_REQUESTS, 2.0 * capacity_rps, 64, seed=47,
         deadline_ms=12.0, inputs=dataset.x_test,

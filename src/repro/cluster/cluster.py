@@ -45,6 +45,7 @@ from repro.analysis.annotations import guarded_by
 from repro.cluster.fleet import ACTIVE, DRAINING, Fleet
 from repro.cluster.router import ROUTER_POLICIES, Router
 from repro.errors import ConfigurationError, ServeError
+from repro.serve.metrics import summarize
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import COMPLETED, InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport
@@ -130,32 +131,6 @@ class ClusterReport:
                 f"{event.fleet or '-'} {event.detail}"
             )
         return "\n".join(lines)
-
-
-def _exact_latency_summary(latencies: list[float]) -> dict[str, float]:
-    """Exact percentile summary over merged completion latencies.
-
-    Per-generation summaries cannot be merged (quantiles do not
-    compose), so the cluster recomputes from every completed outcome.
-    """
-    if not latencies:
-        return {
-            "count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-            "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
-    ordered = sorted(latencies)
-    n = len(ordered)
-
-    def pct(q: float) -> float:
-        return ordered[min(n - 1, int(round(q * (n - 1))))]
-
-    return {
-        "count": float(n),
-        "mean": sum(ordered) / n,
-        "min": ordered[0],
-        "max": ordered[-1],
-        "p50": pct(0.50), "p95": pct(0.95), "p99": pct(0.99),
-    }
 
 
 class Cluster:
@@ -420,7 +395,7 @@ class Cluster:
             goodput_rps=(
                 completed / (makespan / 1e3) if makespan > 0 else 0.0
             ),
-            latency_ms=_exact_latency_summary(latencies),
+            latency_ms=summarize(latencies),
             generations=generations,
             deploy_events=tuple(self.deploy_events()),
             scale_decisions=tuple(
@@ -434,9 +409,5 @@ class Cluster:
         self, labels: dict[str, Any] | None = None
     ) -> dict[str, Any]:
         """Merged Chrome trace: one process per generation's collector."""
-        collectors = [
-            g.report.trace
-            for g in self.generation_reports()
-            if g.report.trace is not None
-        ]
+        collectors = [g.report.trace for g in self.generation_reports()]
         return merged_chrome_trace(collectors, labels)

@@ -48,16 +48,23 @@ class PowerBudget:
 
 
 @dataclass(frozen=True)
-class IntermittentRun:
-    """Outcome of one inference across power failures."""
+class ChargeSchedule:
+    """How one inference spends its charges: input-independent, since
+    every layer costs the same cycles for every input (§4.1)."""
 
-    logits: np.ndarray
-    label: int
     power_cycles_used: int
     total_cycles: int            # compute + checkpoints + restores
     compute_cycles: int          # useful work (incl. re-execution)
     checkpoint_cycles: int
     wasted_cycles: int           # progress lost to mid-layer power loss
+
+
+@dataclass(frozen=True)
+class IntermittentRun(ChargeSchedule):
+    """Outcome of one inference across power failures."""
+
+    logits: np.ndarray
+    label: int
     completed: bool
 
 
@@ -104,7 +111,25 @@ class IntermittentDeployment:
         budget: PowerBudget,
         max_power_cycles: int = 10_000,
     ) -> IntermittentRun:
-        """One inference under the given charge budget.
+        """One inference under the given charge budget: its
+        :meth:`schedule` plus the deployed model's normal inference.
+
+        The numeric result is charge-schedule independent: layers are
+        idempotent over their checkpointed inputs.
+        """
+        schedule = self.schedule(budget, max_power_cycles)
+        result = self.deployed.infer(x)
+        return IntermittentRun(
+            logits=result.logits,
+            label=result.label,
+            completed=True,
+            **vars(schedule),
+        )
+
+    def schedule(
+        self, budget: PowerBudget, max_power_cycles: int = 10_000
+    ) -> ChargeSchedule:
+        """The charge schedule of one inference under ``budget``.
 
         The smallest layer+checkpoint unit must fit one charge, or the
         device can never make forward progress (the classic intermittent-
@@ -150,19 +175,12 @@ class IntermittentDeployment:
             remaining = budget.cycles_per_charge - RESTORE_OVERHEAD_CYCLES
             checkpointed += RESTORE_OVERHEAD_CYCLES
 
-        # The numeric result is charge-schedule independent: layers are
-        # idempotent over their checkpointed inputs.  Compute it with the
-        # deployed model's normal path.
-        result = self.deployed.infer(x)
-        return IntermittentRun(
-            logits=result.logits,
-            label=result.label,
+        return ChargeSchedule(
             power_cycles_used=power_cycles,
             total_cycles=compute + checkpointed + wasted,
             compute_cycles=compute,
             checkpoint_cycles=checkpointed,
             wasted_cycles=wasted,
-            completed=True,
         )
 
     def minimum_charge_cycles(self) -> int:

@@ -20,7 +20,7 @@ from repro.serve.metrics import (
 )
 from repro.serve.pool import (
     DISPATCH_OVERHEAD_CYCLES,
-    DeviceExecution,
+    Attempt,
     SimulatedDevice,
     build_pool,
     fleet_capacity_rps,
@@ -55,12 +55,12 @@ from repro.serve.tracing import (
 )
 
 __all__ = [
+    "Attempt",
     "BoundedRequestQueue",
     "COMPLETED",
     "Counter",
     "DEVICE_BUSY_KINDS",
     "DISPATCH_OVERHEAD_CYCLES",
-    "DeviceExecution",
     "FAILED",
     "FaultInjector",
     "FaultPlan",

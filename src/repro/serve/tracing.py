@@ -352,9 +352,6 @@ def verify_trace_invariants(
             f"{report.rejected} + {report.failed} != {report.offered}"
         )
     tracer = report.trace
-    if tracer is None:
-        violations.append("report carries no trace (tracing disabled?)")
-        return violations
     if tracer.dropped:
         violations.append(
             f"collector dropped {tracer.dropped} spans (capacity "

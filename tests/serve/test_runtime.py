@@ -10,6 +10,7 @@ from repro.serve import (
     InferenceRequest,
     ServeConfig,
     ServeRuntime,
+    fleet_capacity_rps,
     synthetic_trace,
 )
 
@@ -81,9 +82,8 @@ class TestAdmissionControl:
     def test_sustained_overload_sheds_on_sim_queue_wait(
         self, small_artifact, digits_small
     ):
-        capacity_rps = 1000.0 / small_artifact.deployment.latency_ms
         trace = synthetic_trace(
-            150, 3.0 * capacity_rps, 64, seed=5,
+            150, 3.0 * fleet_capacity_rps(small_artifact, 1), 64, seed=5,
             inputs=digits_small.x_test,
         )
         report = _runtime(
@@ -97,7 +97,7 @@ class TestAdmissionControl:
         # Sub-service-time deadlines under load: late requests shed.
         latency_ms = small_artifact.deployment.latency_ms
         trace = synthetic_trace(
-            60, 20.0 / latency_ms * 1000.0, 64, seed=6,
+            60, 20.0 * fleet_capacity_rps(small_artifact, 1), 64, seed=6,
             deadline_ms=latency_ms * 1.5, inputs=digits_small.x_test,
         )
         report = _runtime(

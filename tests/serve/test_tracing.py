@@ -80,7 +80,7 @@ class TestReplayTracing:
         report = _replay(small_artifact, digits_small.x_test)
         assert report.completed == 30
         tracer = report.trace
-        assert tracer is not None and tracer.dropped == 0
+        assert tracer.dropped == 0
         # Every request: admitted -> queued -> execute -> completed.
         for outcome in report.outcomes:
             kinds = [s.kind for s in
@@ -90,13 +90,6 @@ class TestReplayTracing:
             assert f"request {outcome.request_id}" in text
             assert "terminal=completed" in text
             assert f"device.{outcome.device_id}" in text
-
-    def test_tracing_can_be_disabled(self, small_artifact, digits_small):
-        report = _replay(small_artifact, digits_small.x_test,
-                         tracing=False)
-        assert report.trace is None
-        assert report.completed == 30
-        assert verify_trace_invariants(report)   # flags the missing trace
 
     def test_brownout_replay_traces_retries(self, small_artifact,
                                             digits_small):
