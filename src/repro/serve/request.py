@@ -21,9 +21,10 @@ class InferenceRequest:
 
     ``deadline_ms`` is an absolute simulated-time deadline (``None`` for
     best-effort requests).  The mutable scheduling fields (``attempts``,
-    ``avoid_device``, ``backoff_ms``) are owned by the runtime: retries
+    ``avoid_device``, ``eligible_ms``) are owned by the runtime: retries
     increment ``attempts``, name the device that browned out so the next
-    attempt lands elsewhere, and accumulate simulated backoff delay.
+    attempt lands elsewhere, and become eligible one backoff after the
+    brown-out that caused them.
     """
 
     request_id: int
@@ -33,14 +34,15 @@ class InferenceRequest:
     # -- runtime-owned scheduling state ---------------------------------
     attempts: int = 0
     avoid_device: int | None = None
-    backoff_ms: float = 0.0
+    #: Simulated time before which the request may not run: its arrival
+    #: (the default), then the end of each retry's backoff.
+    eligible_ms: float | None = None
     #: Monotonic tiebreaker for priority queues (set on first enqueue).
     seq: int = field(default=0, compare=False)
 
-    @property
-    def earliest_start_ms(self) -> float:
-        """Simulated time before which the request may not run (backoff)."""
-        return self.arrival_ms + self.backoff_ms
+    def __post_init__(self) -> None:
+        if self.eligible_ms is None:
+            self.eligible_ms = self.arrival_ms
 
 
 #: Terminal request states.  Exactly one is recorded per offered request,

@@ -17,7 +17,7 @@ the queue only answers *which* requests that batch holds.
   monotonic sequence number as the tiebreaker, so equal keys still
   serve in arrival order.
 - **Eligibility** — a request may not start before its
-  ``earliest_start_ms`` (arrival, or the end of its retry backoff).
+  ``eligible_ms`` (arrival, or the end of its retry backoff).
   `ready_ms()` tells the event loop when each device could next start;
   `take_batch()` hands over up to ``max_batch`` requests eligible at
   the start time, in policy order.
@@ -112,7 +112,7 @@ class BoundedRequestQueue:
         free = math.inf
         avoiding: dict[int, float] = {}
         for _key, _seq, request in self._heap:
-            ready = request.earliest_start_ms
+            ready = request.eligible_ms
             avoid = request.avoid_device if self.n_devices > 1 else None
             if avoid is None:
                 free = min(free, ready)
@@ -133,7 +133,7 @@ class BoundedRequestQueue:
             entry = heapq.heappop(self._heap)
             request = entry[2]
             if (
-                request.earliest_start_ms > now_ms
+                request.eligible_ms > now_ms
                 or self._avoids(request, device_id)
             ):
                 skipped.append(entry)

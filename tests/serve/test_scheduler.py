@@ -77,7 +77,7 @@ class TestEligibility:
     def test_retry_not_taken_before_backoff_ends(self):
         queue = BoundedRequestQueue(max_depth=8)
         retry = _request(0, arrival_ms=1.0)
-        retry.backoff_ms = 4.0                       # eligible at 5.0
+        retry.eligible_ms = 5.0
         queue.offer(retry, force=True)
         assert queue.ready_ms() == [5.0]
         assert queue.take_batch(0, max_batch=4, now_ms=4.999) == []
