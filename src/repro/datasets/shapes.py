@@ -21,19 +21,17 @@ def fill_polygon(vertices: Polygon, size: int) -> np.ndarray:
         raise ConfigurationError("a polygon needs at least three vertices")
     poly = np.asarray(vertices, dtype=np.float64)
     grid = (np.arange(size) + 0.5) / size
-    gx, gy = np.meshgrid(grid, grid)
-    px, py = gx.ravel(), gy.ravel()
-    inside = np.zeros(px.shape, dtype=bool)
-    x0, y0 = poly[:, 0], poly[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    for ax, ay, bx, by in zip(x0, y0, x1, y1):
-        crosses = (ay > py) != (by > py)
-        if not crosses.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_at = ax + (py - ay) / (by - ay) * (bx - ax)
-        inside ^= crosses & (px < x_at)
-    return inside.reshape(size, size)
+    # One row per edge, one column per pixel row: whether the edge spans
+    # the row's centre line, and where it crosses it.  Horizontal edges
+    # (by == ay) never cross, so their inf/nan x_at is masked out.
+    ax, ay = poly[:, 0:1], poly[:, 1:2]
+    bx, by = np.roll(ax, -1, axis=0), np.roll(ay, -1, axis=0)
+    crosses = (ay > grid) != (by > grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_at = ax + (grid - ay) / (by - ay) * (bx - ax)
+    # Even-odd rule: XOR over edges of "the edge crosses left of the pixel".
+    hits = crosses[:, :, None] & (grid < x_at[:, :, None])
+    return np.bitwise_xor.reduce(hits, axis=0)
 
 
 def transform_polygon(

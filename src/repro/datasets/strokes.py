@@ -12,6 +12,8 @@ polylines it is given.  Digit templates live in :data:`DIGIT_TEMPLATES`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -132,16 +134,21 @@ def rasterize_points(
 
     Uses a max-composite so stroke crossings do not bloom brighter than the
     pen itself.  Returns float32 in [0, 1].
+
+    ``exp``, negation and division by the positive ``2σ²`` are all
+    monotone, so the brightest point at a pixel is its nearest one:
+    ``max_p exp(-d²_p / 2σ²) == exp(-min_p d²_p / 2σ²)`` bit for bit.
+    Squared distances come from two separable ``(size, n_points)``
+    tables, and ``exp`` runs once per pixel.
     """
     if size < 2:
         raise ConfigurationError(f"image size must be >= 2, got {size}")
     grid = (np.arange(size) + 0.5) / size
-    gx, gy = np.meshgrid(grid, grid)  # gy indexes rows (y down)
-    # distances: (size*size, n_points)
-    dx = gx.reshape(-1, 1) - points[None, :, 0].reshape(1, -1)
-    dy = gy.reshape(-1, 1) - points[None, :, 1].reshape(1, -1)
-    intensity = np.exp(-(dx * dx + dy * dy) / (2.0 * pen_sigma**2))
-    image = intensity.max(axis=1).reshape(size, size)
+    dx = grid[:, None] - points[None, :, 0]  # (columns, n_points)
+    dy = grid[:, None] - points[None, :, 1]  # (rows, n_points), y down
+    # (rows, columns, n_points), summed in the order dx² + dy².
+    d2 = (dx * dx)[None, :, :] + (dy * dy)[:, None, :]
+    image = np.exp(-d2.min(axis=2) / (2.0 * pen_sigma**2))
     return image.astype(np.float32)
 
 
@@ -171,10 +178,22 @@ DIGIT_STYLE_VARIANTS: dict[int, list[list[Polyline]]] = {
 }
 
 
-def _digit_strokes(digit: int, rng: np.random.Generator) -> list[Polyline]:
-    variants = [DIGIT_TEMPLATES[digit]]
-    variants.extend(DIGIT_STYLE_VARIANTS.get(digit, []))
-    return variants[int(rng.integers(0, len(variants)))]
+def _styles(digit: int) -> list[list[Polyline]]:
+    return [DIGIT_TEMPLATES[digit], *DIGIT_STYLE_VARIANTS.get(digit, [])]
+
+
+@functools.lru_cache(maxsize=128)
+def _template_points(digit: int, variant: int, size: int) -> np.ndarray:
+    """Pen-path points of one digit style, sampled for ``size``.
+
+    Memoized, so the array is shared by every caller and read-only.
+    """
+    points = np.concatenate([
+        sample_polyline(polyline, spacing=0.35 / size)
+        for polyline in _styles(digit)[variant]
+    ])
+    points.flags.writeable = False
+    return points
 
 
 def _random_distractor(rng: np.random.Generator) -> Polyline:
@@ -221,11 +240,8 @@ def render_digit(
     phase = (rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
     amplitude = rng.uniform(0.0, 0.02) * jitter
 
-    chunks = [
-        sample_polyline(polyline, spacing=0.35 / size)
-        for polyline in _digit_strokes(digit, rng)
-    ]
-    points = np.concatenate(chunks)
+    variant = int(rng.integers(0, len(_styles(digit))))
+    points = _template_points(digit, variant, size)
     if stroke_dropout > 0.0 and rng.random() < stroke_dropout:
         # Erase a contiguous 10-20 % of the pen path.
         n = len(points)
