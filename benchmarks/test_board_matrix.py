@@ -30,7 +30,12 @@ from repro.kernels.codegen_sparse import generate_sparse
 from repro.kernels.spec import make_neuroc_spec
 from repro.mcu.board import BOARD_PROFILES, classify_board
 from repro.mcu.fastpath import make_cpu
-from repro.serve import ModelRegistry, ServeConfig, synthetic_trace
+from repro.serve import (
+    ModelRegistry,
+    ServeConfig,
+    fleet_capacity_rps,
+    synthetic_trace,
+)
 
 N_REQUESTS = int(os.environ.get("REPRO_BOARD_MATRIX_REQUESTS", "300"))
 ENGINES = ("interpreter", "fastpath", "fastpath-v2")
@@ -133,7 +138,7 @@ def test_board_matrix_mixed_cluster_soak():
     # M0, headroom for the M7, so routing on per-board cycles_to_ms is
     # what decides goodput.
     slowest = max(artifacts, key=lambda a: a.deployment.latency_ms)
-    capacity = 2 * 1e3 / slowest.deployment.latency_ms
+    capacity = fleet_capacity_rps(slowest, n_devices=2)
     trace = synthetic_trace(
         N_REQUESTS, 4.0 * capacity, 64, seed=71, inputs=dataset.x_test,
     )
