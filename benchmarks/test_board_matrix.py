@@ -29,7 +29,7 @@ from repro.datasets import load
 from repro.kernels.codegen_sparse import generate_sparse
 from repro.kernels.spec import make_neuroc_spec
 from repro.mcu.board import BOARD_PROFILES, classify_board
-from repro.mcu.fastpath import make_cpu
+from repro.mcu.fastpath import ENGINES, make_cpu
 from repro.serve import (
     ModelRegistry,
     ServeConfig,
@@ -38,7 +38,6 @@ from repro.serve import (
 )
 
 N_REQUESTS = int(os.environ.get("REPRO_BOARD_MATRIX_REQUESTS", "300"))
-ENGINES = ("interpreter", "fastpath", "fastpath-v2")
 
 
 def _spec(n_in=256, n_out=32, density=0.1, seed=0):
@@ -72,10 +71,7 @@ def test_board_matrix_exactness_and_pricing():
                 spec, "block", memory=board.make_memory()
             )
             image.write_input(x)
-            cpu = make_cpu(
-                image.memory, costs=board.costs,
-                engine=board.resolve_engine(engine),
-            )
+            cpu = make_cpu(image.memory, costs=board.costs, engine=engine)
             cycles_by_engine[engine] = cpu.run(image.program).cycles
         assert len(set(cycles_by_engine.values())) == 1, (
             board.name, cycles_by_engine,
@@ -92,7 +88,7 @@ def test_board_matrix_exactness_and_pricing():
             "core": board.core,
             "clock_mhz": board.clock_hz / 1e6,
             "class": classify_board(board).name,
-            "engines": list(board.supported_engines()),
+            "engines": list(ENGINES),
             "cycles": cycles,
             "wcet_bound": report.cycle_bound,
             "latency_ms": board.cycles_to_ms(cycles),

@@ -559,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     from repro.mcu.board import BOARD_PROFILES, STM32F072RB
+    from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES
 
     board_names = tuple(BOARD_PROFILES)
 
@@ -648,12 +649,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=int, default=1000)
     serve.add_argument("--rate", type=float, default=2000.0,
                        help="offered load, requests per simulated second")
-    serve.add_argument("--engine", default="fastpath",
-                       choices=("fastpath", "fastpath-v2", "interpreter"),
+    serve.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
                        help="execution engine for device replicas: the "
-                            "basic-block translating engine (default), "
+                            "basic-block translating engine (fastpath), "
                             "the content-specialized batch-fused tier "
-                            "(fastpath-v2), or the reference interpreter")
+                            "(fastpath-v2), or the reference interpreter "
+                            "(default: %(default)s)")
     serve.add_argument("--policy", default="fifo", choices=("fifo", "edf"))
     serve.add_argument("--queue-depth", type=int, default=256)
     serve.add_argument("--batch", type=int, default=4)
@@ -713,9 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "fleet's ideal capacity (10-100x is the "
                               "overload regime this bench targets)")
     cluster.add_argument("--queue-depth", type=int, default=64)
-    cluster.add_argument("--engine", default="fastpath",
-                         choices=("fastpath", "fastpath-v2",
-                                  "interpreter"),
+    cluster.add_argument("--engine", default=DEFAULT_ENGINE,
+                         choices=ENGINES,
                          help="execution engine for every fleet's "
                               "device replicas")
     cluster.add_argument("--dataset", default=None,

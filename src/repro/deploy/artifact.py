@@ -31,7 +31,12 @@ from repro.kernels.codegen_dense import count_dense, generate_dense
 from repro.kernels.codegen_sparse import count_sparse, generate_sparse
 from repro.kernels.opcount import OpCount
 from repro.mcu.board import BoardProfile, STM32F072RB
-from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES, make_cpu
+from repro.mcu.fastpath import (
+    DEFAULT_ENGINE,
+    FastCPU,
+    SpecializedCPU,
+    make_cpu,
+)
 from repro.mcu.memory import Allocator
 from repro.mcu.profiler import Tim2
 from repro.quantize.ptq import QuantizedModel
@@ -88,16 +93,14 @@ class DeployedModel:
         block_size: int = 256,
         engine: str = DEFAULT_ENGINE,
     ) -> None:
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; known: {ENGINES}"
-            )
         self.quantized = quantized
         self.format_name = format_name
         self.board = board
         self.block_size = block_size
         self.engine = engine
         self.memory = board.make_memory()
+        # Built before codegen so an unknown engine fails fast.
+        self._cpu = make_cpu(self.memory, costs=board.costs, engine=engine)
 
         specs = quantized.specs
         if not specs:
@@ -136,7 +139,6 @@ class DeployedModel:
                 f"model does not fit {board.name}: {exc}"
             ) from exc
 
-        self._cpu = make_cpu(self.memory, costs=board.costs, engine=engine)
         self.timer = Tim2(board.clock_hz)
         #: Lazily computed fused-pipeline cache:
         #: None = not computed, (False,) = not fusible, (True, sps) = go.
@@ -145,24 +147,23 @@ class DeployedModel:
     def warm_translations(self) -> int:
         """Translate every layer program ahead of the first inference.
 
-        Returns the number of layer programs the tier-1 translator
-        accepted.  Translations live in the process-wide cache keyed by
-        program content, so replicas flashed from this artifact reuse
-        them; a no-op (returning 0) under ``engine="interpreter"``.
-        Under ``engine="fastpath-v2"`` the tier-2 specializations are
-        warmed as well (one extra cache entry per accepted layer).
+        Returns the number of layer programs the engine accepted: tier-1
+        translations under ``engine="fastpath"``, tier-2
+        specializations under ``engine="fastpath-v2"`` (which also
+        settles the fused pipeline), and 0 under
+        ``engine="interpreter"``.  Both live in the process-wide cache
+        keyed by program content, so replicas flashed from this
+        artifact reuse them.
         """
-        from repro.mcu.fastpath import FastCPU
-
-        if not isinstance(self._cpu, FastCPU):
-            return 0
-        accepted = sum(
-            self._cpu.translation(image.program) is not None
-            for image in self.images
-        )
-        if self._cpu.prefer_v2:
+        cpu = self._cpu
+        if isinstance(cpu, SpecializedCPU):
             self._fused_pipeline()
-        return accepted
+            warm = cpu.specialization
+        elif isinstance(cpu, FastCPU):
+            warm = cpu.translation
+        else:
+            return 0
+        return sum(warm(image.program) is not None for image in self.images)
 
     def evict_translations(self) -> int:
         """Drop every layer program of this model from the shared cache.
@@ -181,15 +182,11 @@ class DeployedModel:
 
     def set_engine(self, engine: str) -> None:
         """Switch execution engine in place (e.g. for verification runs)."""
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; known: {ENGINES}"
-            )
         if engine != self.engine:
-            self.engine = engine
             self._cpu = make_cpu(
                 self.memory, costs=self.board.costs, engine=engine
             )
+            self.engine = engine
             self._fused = None
 
     # -- batch fusion -------------------------------------------------------
@@ -237,11 +234,9 @@ class DeployedModel:
         """
         if self._fused is not None:
             return self._fused[1]
-        from repro.mcu.fastpath import FastCPU
-
         pipeline = None
         cpu = self._cpu
-        if isinstance(cpu, FastCPU) and cpu.prefer_v2:
+        if isinstance(cpu, SpecializedCPU):
             sps = [cpu.specialization(img.program) for img in self.images]
             if all(
                 sp is not None and sp.instructions <= cpu.max_instructions

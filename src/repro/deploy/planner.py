@@ -41,6 +41,7 @@ from repro.deploy.size import model_program_memory
 from repro.errors import BudgetExceededError, ConfigurationError
 from repro.kernels.codegen_sparse import SPARSE_FORMATS
 from repro.mcu.board import BOARD_PROFILES, BoardProfile
+from repro.mcu.fastpath import DEFAULT_ENGINE
 from repro.quantize.ptq import QuantizedModel
 
 
@@ -147,7 +148,7 @@ def _price(
     return PlanCandidate(
         format_name=format_name,
         board=board,
-        engine=board.resolve_engine(),
+        engine=DEFAULT_ENGINE,
         block_size=block_size,
         cycles=cycles,
         latency_ms=latency_ms,

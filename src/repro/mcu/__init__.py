@@ -41,6 +41,7 @@ from repro.mcu.fastpath import (
     DEFAULT_ENGINE,
     ENGINES,
     FastCPU,
+    SpecializedCPU,
     TranslatedProgram,
     clear_translation_cache,
     make_cpu,
@@ -98,6 +99,7 @@ __all__ = [
     "RISCV_RV32IMC",
     "Region",
     "STM32F072RB",
+    "SpecializedCPU",
     "SpecializedProgram",
     "Tim2",
     "TranslatedProgram",

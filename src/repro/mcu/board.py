@@ -25,9 +25,6 @@ from repro.errors import ConfigurationError
 from repro.mcu.cpu import CycleCosts
 from repro.mcu.memory import MemoryMap, Region
 
-#: Engine tiers, best (most specialized) first; every board hosts all.
-_TIERED_ENGINES = ("fastpath-v2", "fastpath", "interpreter")
-
 
 @dataclass(frozen=True)
 class BoardProfile:
@@ -90,28 +87,6 @@ class BoardProfile:
         exact = ms * self.clock_hz / 1e3
         return ceil(exact - 1e-9 - abs(exact) * 1e-12)
 
-    # -- capabilities -----------------------------------------------------
-
-    def supported_engines(self) -> tuple[str, ...]:
-        """Execution engines this board can host, best tier first.
-
-        Every board hosts every tier: the engines are host-side
-        translations, bit-identical to the interpreter, so no simulated
-        hardware capability selects among them.
-        """
-        return _TIERED_ENGINES
-
-    def resolve_engine(self, engine: str | None = None) -> str:
-        """``engine`` validated, or the library default for ``None``."""
-        from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES
-
-        requested = engine or DEFAULT_ENGINE
-        if requested not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {requested!r}; known: {ENGINES}"
-            )
-        return requested
-
     # -- factories --------------------------------------------------------
 
     def make_memory(self) -> MemoryMap:
@@ -137,19 +112,19 @@ class BoardProfile:
         ``engine`` is ``"fastpath"`` (translating engine, the default),
         ``"fastpath-v2"`` (content-specialized), or ``"interpreter"``
         (the reference :class:`~repro.mcu.cpu.CPU`); see
-        :mod:`repro.mcu.fastpath` for the exactness contract.  A tier
-        the board's capability flags gate out degrades to the best
-        supported one (:meth:`resolve_engine`).
+        :mod:`repro.mcu.fastpath` for the exactness contract.  Every
+        board hosts every engine: they are host-side and bit-identical,
+        so no simulated capability selects among them.
         """
         # Imported lazily: repro.analysis.report imports this module, and
         # the fastpath translator reaches back into repro.analysis.cfg.
-        from repro.mcu.fastpath import make_cpu
+        from repro.mcu.fastpath import DEFAULT_ENGINE, make_cpu
 
         return make_cpu(
             memory,
             costs=self.costs,
             max_instructions=max_instructions,
-            engine=self.resolve_engine(engine),
+            engine=engine or DEFAULT_ENGINE,
         )
 
 
@@ -291,9 +266,7 @@ def format_mcu_class_table() -> str:
 
 def format_board_profile_table() -> str:
     """The reference profiles, one row each, with their Table 1 class."""
-    headers = (
-        "Board", "Core", "Clock", "Flash", "RAM", "Engines", "Class",
-    )
+    headers = ("Board", "Core", "Clock", "Flash", "RAM", "Class")
     rows = []
     for profile in BOARD_PROFILES.values():
         rows.append((
@@ -302,7 +275,6 @@ def format_board_profile_table() -> str:
             f"{profile.clock_hz / 1e6:g} MHz",
             f"{profile.flash_kb} KB",
             f"{profile.ram_kb} KB",
-            profile.supported_engines()[0],
             classify_board(profile).name,
         ))
     widths = [

@@ -63,10 +63,9 @@ from repro.mcu.memory import MemoryMap
 
 _MASK32 = 0xFFFF_FFFF
 
-#: Recognised execution engines.  ``"fastpath-v2"`` prefers the
-#: content-specialized tier (:mod:`repro.mcu.fastpath_v2`) and falls
-#: back to tier 1 and then the interpreter; ``"fastpath"`` is tier 1
-#: with interpreter fallback.
+#: Recognised execution engines.  ``"fastpath-v2"`` runs the
+#: content-specialized tier (:mod:`repro.mcu.fastpath_v2`) and
+#: ``"fastpath"`` runs tier 1; each falls back to the interpreter.
 ENGINES = ("fastpath", "fastpath-v2", "interpreter")
 #: Engine used when callers do not choose one explicitly.
 DEFAULT_ENGINE = "fastpath"
@@ -542,11 +541,11 @@ def translate_v2(
 ):
     """Tier-2 specialization for ``program`` (cached), or ``None``.
 
-    Requires a tier-1 translation first (whose per-block static cycle
-    totals the specialization reuses), then symbolically executes the
-    program against ``memory``'s frozen read-only content.  Declines —
-    returning ``None`` so callers stay on tier 1 — when any branch or
-    address depends on writable-memory data.
+    Symbolically executes the program once against ``memory``'s frozen
+    read-only content, pricing it with ``costs``.  Declines — returning
+    ``None`` so callers run the interpreter — when any branch or
+    address depends on writable-memory data or the trace leaves the
+    program.
     """
     from repro.mcu import fastpath_v2
 
@@ -561,15 +560,7 @@ def translate_v2(
             if isinstance(entry, fastpath_v2.SpecializedProgram):
                 return entry
             return None
-    base = translate(program, memory, costs)
-    if base is None:
-        built = "tier 1 declined: " + (
-            why_declined(program, memory, costs) or "unknown"
-        )
-    else:
-        built = fastpath_v2.build_specialization(
-            program, memory, costs, base
-        )
+    built = fastpath_v2.build_specialization(program, memory, costs)
     with _CACHE_LOCK:
         entry = _CACHE.setdefault(key, built)
         _STATS["v2"]["misses"] += 1
@@ -648,8 +639,8 @@ def evict_translation(
     Used by ``ModelRegistry.release()`` when a retired artifact's
     refcount reaches zero, so blue/green cutovers actually free the
     compiled kernels of the model they replaced.  Returns ``True`` when
-    an entry was present.  A replica still holding the
-    ``TranslatedProgram`` keeps running (the object stays alive through
+    an entry was present.  A replica still holding the translation or
+    specialization keeps running (the object stays alive through
     its own reference); only the shared cache forgets it.
     """
     from repro.mcu import fastpath_v2
@@ -683,12 +674,6 @@ class FastCPU:
     Programs the translator declines run on an embedded interpreter
     fallback; ``last_engine`` records which engine served the last
     ``run()`` so tests can prove the fast path was actually exercised.
-
-    With ``prefer_v2`` the tier chain becomes specialized -> tier 1 ->
-    interpreter: tier 2 serves a run only when the program specialized
-    (input-independent control flow and addressing), entry registers
-    are all zero (the specialization's precondition), and the run
-    cannot hit the instruction limit mid-flight.
     """
 
     def __init__(
@@ -696,20 +681,16 @@ class FastCPU:
         memory: MemoryMap,
         costs: CycleCosts | None = None,
         max_instructions: int = 200_000_000,
-        prefer_v2: bool = False,
     ) -> None:
         self.memory = memory
         self.costs = costs or CycleCosts()
         self.max_instructions = max_instructions
-        self.prefer_v2 = prefer_v2
         self._interpreter = CPU(memory, self.costs, max_instructions)
         #: id(program) -> (program, translation); the strong program
         #: reference keeps the id stable for the cache's lifetime.
         self._translations: dict[int, tuple] = {}
-        self._specializations: dict[int, tuple] = {}
         self.last_engine: str | None = None
         self.last_translation: TranslatedProgram | None = None
-        self.last_specialization = None
         self.last_block_counts: list[int] | None = None
         self.last_taken_counts: list[int] | None = None
 
@@ -721,35 +702,11 @@ class FastCPU:
         self._translations[id(program)] = (program, tp)
         return tp
 
-    def specialization(self, program: Program):
-        """Tier-2 specialization for ``program``, or ``None``.
-
-        Memoized per program identity like :meth:`translation`; the
-        shared cache keeps fleet replicas from re-specializing.
-        """
-        entry = self._specializations.get(id(program))
-        if entry is not None and entry[0] is program:
-            return entry[1]
-        sp = translate_v2(program, self.memory, self.costs)
-        self._specializations[id(program)] = (program, sp)
-        return sp
-
-    @staticmethod
-    def _zero_entry(registers: dict | None) -> bool:
-        return not registers or all(
-            (int(value) & _MASK32) == 0 for value in registers.values()
-        )
-
     def run(
         self, program: Program, registers: dict | None = None
     ) -> ExecutionResult:
         """Execute ``program`` until ``HALT``; bit-exact with ``CPU.run``."""
-        if self.prefer_v2 and self._zero_entry(registers):
-            sp = self.specialization(program)
-            if sp is not None and sp.instructions <= self.max_instructions:
-                return self._run_v2(sp)
         tp = self.translation(program)
-        self.last_specialization = None
         if tp is None:
             self.last_engine = "interpreter"
             self.last_translation = None
@@ -772,25 +729,75 @@ class FastCPU:
             cycles, executed, out_regs, tp.fold_op_counts(bc)
         )
 
-    def _run_v2(self, sp) -> ExecutionResult:
-        from repro.mcu import fastpath_v2
 
-        mats = fastpath_v2.make_batch_state(self.memory, 1)
-        out_regs = sp.fn(mats)
-        fastpath_v2.commit_batch_row(self.memory, mats, 0)
-        fastpath_v2.charge_batch_traffic(self.memory, sp, 1)
-        self.last_engine = "fastpath-v2"
-        self.last_translation = sp.base
-        self.last_specialization = sp
-        self.last_block_counts = list(sp.block_counts)
-        self.last_taken_counts = list(sp.taken_counts)
-        registers = [
-            value if isinstance(value, int) else int(value[0])
-            for value in out_regs
-        ]
-        return ExecutionResult(
-            sp.cycles, sp.instructions, registers, sp.op_counts()
-        )
+class SpecializedCPU:
+    """Drop-in :class:`~repro.mcu.cpu.CPU` running tier-2 specializations.
+
+    A run is served by its program's specialization when the program
+    specialized (input-independent control flow and addressing), the
+    entry registers are all zero (the specialization's precondition),
+    and the run fits under ``max_instructions`` (the fused body cannot
+    stop mid-flight).  Every other run goes to an embedded interpreter;
+    ``last_engine`` records which of the two served the last ``run()``.
+    """
+
+    def __init__(
+        self,
+        memory: MemoryMap,
+        costs: CycleCosts | None = None,
+        max_instructions: int = 200_000_000,
+    ) -> None:
+        self.memory = memory
+        self.costs = costs or CycleCosts()
+        self.max_instructions = max_instructions
+        self._interpreter = CPU(memory, self.costs, max_instructions)
+        #: id(program) -> (program, specialization), as in FastCPU.
+        self._specializations: dict[int, tuple] = {}
+        self.last_engine: str | None = None
+        self.last_specialization = None
+
+    def specialization(self, program: Program):
+        """Tier-2 specialization for ``program``, or ``None``.
+
+        Memoized per program identity; the shared cache keeps fleet
+        replicas from re-specializing.
+        """
+        entry = self._specializations.get(id(program))
+        if entry is not None and entry[0] is program:
+            return entry[1]
+        sp = translate_v2(program, self.memory, self.costs)
+        self._specializations[id(program)] = (program, sp)
+        return sp
+
+    def run(
+        self, program: Program, registers: dict | None = None
+    ) -> ExecutionResult:
+        """Execute ``program`` until ``HALT``; bit-exact with ``CPU.run``."""
+        if not registers or all(
+            (int(value) & _MASK32) == 0 for value in registers.values()
+        ):
+            sp = self.specialization(program)
+            if sp is not None and sp.instructions <= self.max_instructions:
+                from repro.mcu import fastpath_v2
+
+                mats = fastpath_v2.make_batch_state(self.memory, 1)
+                out_regs = sp.fn(mats)
+                fastpath_v2.commit_batch_row(self.memory, mats, 0)
+                fastpath_v2.charge_batch_traffic(self.memory, sp, 1)
+                self.last_engine = "fastpath-v2"
+                self.last_specialization = sp
+                return ExecutionResult(
+                    sp.cycles,
+                    sp.instructions,
+                    [
+                        value if isinstance(value, int) else int(value[0])
+                        for value in out_regs
+                    ],
+                    sp.op_counts(),
+                )
+        self.last_engine = "interpreter"
+        self.last_specialization = None
+        return self._interpreter.run(program, registers)
 
 
 def make_cpu(
@@ -798,13 +805,13 @@ def make_cpu(
     costs: CycleCosts | None = None,
     max_instructions: int = 200_000_000,
     engine: str = DEFAULT_ENGINE,
-) -> CPU | FastCPU:
+) -> CPU | FastCPU | SpecializedCPU:
     """The single engine switch: ``"fastpath-v2"``, ``"fastpath"``, or
     ``"interpreter"``."""
     if engine == "fastpath":
         return FastCPU(memory, costs, max_instructions)
     if engine == "fastpath-v2":
-        return FastCPU(memory, costs, max_instructions, prefer_v2=True)
+        return SpecializedCPU(memory, costs, max_instructions)
     if engine == "interpreter":
         return CPU(memory, costs, max_instructions)
     raise ConfigurationError(

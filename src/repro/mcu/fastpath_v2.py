@@ -1,13 +1,10 @@
 """Content-specialized, batch-fused translation (fastpath tier 2).
 
-Tier 1 (:mod:`repro.mcu.fastpath`) compiles each basic block into
-straight-line Python but still runs one input at a time and keeps every
-program value generic.  The kernels this repository generates are even
-more constrained than tier 1 exploits: their adjacency tables, weight
-words, and block descriptors live in *read-only* regions whose bytes are
-known at translate() time, and §4.1's static-control-flow discipline
-means every branch decision and every effective address is independent
-of the input once that frozen content is fixed.
+The kernels this repository generates keep their adjacency tables,
+weight words, and block descriptors in *read-only* regions whose bytes
+are known before the first run, and §4.1's static-control-flow
+discipline means every branch decision and every effective address is
+independent of the input once that frozen content is fixed.
 
 Tier 2 turns that into a specializer: :func:`build_specialization`
 *symbolically executes* the program exactly once, with
@@ -17,15 +14,17 @@ Tier 2 turns that into a specializer: :func:`build_specialization`
 - writable region bytes held **symbolic** (each first-read byte becomes
   a load atom; stored values become expression nodes),
 
-and declines — falling back to tier 1 — the moment a branch consults a
-symbolic flag or a load/store address is symbolic.  This check is
+and declines — leaving the run to the interpreter — the moment a
+branch consults a symbolic flag, a load/store address is symbolic, or
+the trace leaves the program (``pc N out of range``).  This check is
 self-contained and sound by induction: as long as every branch up to
 the current instruction was decided by concrete values, the trace *is*
-the unique execution path for every possible input, so the recorded
-per-block execution counts, cycle totals, op counts, and region traffic
-are input-independent constants.  Cycle accounting therefore reuses
-tier 1's per-block static totals verbatim and stays bit-identical to
-the interpreter.
+the unique execution path for every possible input, so its cycle total,
+op counts, and region traffic are input-independent constants.  The
+trace prices each instruction it executes with the board's
+``CycleCosts`` exactly as the interpreter does — using the branch
+decision it just made — so the recorded cycles are the interpreter's
+cycles for every input.
 
 The recorded expression DAG is then emitted as one NumPy function over
 2-D ``(batch, region_size)`` uint8 arrays whose cost scales with the
@@ -60,11 +59,18 @@ from typing import Callable
 
 import numpy as np
 
-from repro.mcu.cpu import CycleCosts, _branch_taken, _to_signed, subtract_flags
+from repro.mcu.cpu import (
+    _OP_INDEX,
+    _OPS,
+    CycleCosts,
+    _branch_taken,
+    _cost_vectors,
+    _to_signed,
+    subtract_flags,
+)
 from repro.mcu.isa import (
     ACCESS_WIDTH,
     BRANCH_OPS,
-    COND_BRANCH_OPS,
     LOAD_OPS,
     NUM_REGS,
     SIGNED_LOADS,
@@ -77,8 +83,9 @@ from repro.mcu.memory import MemoryMap
 _MASK32 = 0xFFFF_FFFF
 
 #: Dynamic instruction budget for the specialize-time trace.  Programs
-#: whose single execution exceeds it decline to tier 1 (the trace would
-#: dominate translation time without bounding emitted code size).
+#: whose single execution exceeds it decline to the interpreter (the
+#: trace would dominate specialization time without bounding emitted
+#: code size).
 TRACE_BUDGET = 1_500_000
 
 
@@ -105,15 +112,12 @@ class SpecializedProgram:
     """One content-specialized, batch-fused program plus its constants.
 
     Everything the interpreter would *compute* about a run — cycles,
-    instruction count, op counts, per-region traffic, per-block
-    execution counters — is input-independent for an accepted program,
-    so it is recorded here once at specialize time.
+    instruction count, op counts, per-region traffic — is
+    input-independent for an accepted program, so it is recorded here
+    once at specialize time.
     """
 
     program: Program
-    #: The tier-1 translation whose per-block static cycle totals this
-    #: specialization reuses (also the fallback when callers decline).
-    base: object
     #: ``fn(mats) -> [r0 .. r12]`` where ``mats`` holds one
     #: ``(batch, size)`` uint8 array per writable region, in region
     #: order.  Mutates ``mats`` in place to each row's final RAM.
@@ -121,8 +125,6 @@ class SpecializedProgram:
     source: str
     cycles: int
     instructions: int
-    block_counts: tuple[int, ...]
-    taken_counts: tuple[int, ...]
     op_count_items: tuple[tuple[Op, int], ...]
     #: Per memory region, in region order:
     #: (loads, bytes_loaded, stores, bytes_stored) of one run.
@@ -134,8 +136,8 @@ class SpecializedProgram:
     dirty_cells: frozenset
 
     def __deepcopy__(self, memo: dict) -> "SpecializedProgram":
-        # Immutable and content-addressed, like TranslatedProgram:
-        # fleet replicas share one specialization.
+        # Immutable and content-addressed: fleet replicas share one
+        # specialization.
         return self
 
     def op_counts(self) -> dict[Op, int]:
@@ -146,16 +148,15 @@ def build_specialization(
     program: Program,
     memory: MemoryMap,
     costs: CycleCosts,
-    base,
 ) -> SpecializedProgram | str:
     """Specialize ``program`` against ``memory``'s frozen content.
 
-    Returns the :class:`SpecializedProgram`, or a human-readable
-    decline reason when the program is not input-independent enough
-    (callers then stay on tier 1 / the interpreter).
+    Returns the :class:`SpecializedProgram`, priced with ``costs``, or a
+    human-readable decline reason when the program is not
+    input-independent enough (callers then run the interpreter).
     """
     try:
-        return _Specializer(program, memory, costs, base).run()
+        return _Specializer(program, memory, costs).run()
     except _Decline as exc:
         return exc.reason
 
@@ -355,12 +356,10 @@ class _Specializer:
         program: Program,
         memory: MemoryMap,
         costs: CycleCosts,
-        base,
     ) -> None:
         self.program = program
         self.memory = memory
         self.costs = costs
-        self.base = base
         self.dag = _Dag()
         self.regions = memory.regions
         #: Per-region offset -> int byte | ("n", byte_node_id).
@@ -372,16 +371,11 @@ class _Specializer:
     # -- trace ------------------------------------------------------------
 
     def run(self) -> SpecializedProgram:
-        program, base = self.program, self.base
-        instrs = program.instructions
-        leader = {span[0]: k for k, span in enumerate(base.block_spans)}
-        cond_of = {
-            span[1]: k
-            for k, span in enumerate(base.block_spans)
-            if instrs[span[1]].op in COND_BRANCH_OPS
-        }
-        bc = [0] * base.n_blocks
-        tk = [0] * base.n_blocks
+        instrs = self.program.instructions
+        # Priced per executed instruction exactly like CPU.run.
+        plain_cost, taken_cost = _cost_vectors(self.costs)
+        counts = [0] * len(_OPS)
+        cycles = 0
         regs: list = [0] * NUM_REGS
         flags: tuple | None = (False, False, False)
         pc = 0
@@ -393,9 +387,6 @@ class _Specializer:
                     f"one execution exceeds the {TRACE_BUDGET}-instruction "
                     f"specialization budget"
                 )
-            block = leader.get(pc)
-            if block is not None:
-                bc[block] += 1
             try:
                 instr = instrs[pc]
             except IndexError:
@@ -403,22 +394,23 @@ class _Specializer:
             executed += 1
             op = instr.op
             ops = instr.operands
+            op_ordinal = _OP_INDEX[op]
+            counts[op_ordinal] += 1
 
             if op is Op.HALT:
+                cycles += plain_cost[op_ordinal]
                 break
             if op in BRANCH_OPS:
-                if op is Op.B:
-                    pc = int(ops[0])
-                    continue
-                if flags is None:
+                if flags is None and op is not Op.B:
                     raise _Decline(
                         "branch at pc "
                         f"{pc} depends on input data (symbolic flags)"
                     )
-                if _branch_taken(op, *flags):
-                    tk[cond_of[pc]] += 1
+                if op is Op.B or _branch_taken(op, *flags):
+                    cycles += taken_cost[op_ordinal]
                     pc = int(ops[0])
                 else:
+                    cycles += plain_cost[op_ordinal]
                     pc += 1
                 continue
 
@@ -479,9 +471,11 @@ class _Specializer:
                 self._access(instr, regs, pc)
             else:  # pragma: no cover - all opcodes handled above
                 raise _Decline(f"unhandled opcode {op!r}")
+            cycles += plain_cost[op_ordinal]
             pc += 1
 
-        return self._finish(bc, tk, regs, executed)
+        op_counts = {_OPS[i]: c for i, c in enumerate(counts) if c}
+        return self._finish(regs, cycles, executed, op_counts)
 
     # -- value helpers ----------------------------------------------------
 
@@ -545,7 +539,7 @@ class _Specializer:
         if region_index is None:
             raise _Decline(
                 f"unmapped {width}-byte access at 0x{addr:08x} "
-                f"(error path stays on tier 1)"
+                f"(error path runs on the interpreter)"
             )
         region = self.regions[region_index]
         cell = addr - region.base
@@ -566,7 +560,7 @@ class _Specializer:
         if not region.writable:
             raise _Decline(
                 f"store to read-only region {region.name!r} "
-                f"(error path stays on tier 1)"
+                f"(error path runs on the interpreter)"
             )
         counters = self.traffic[region_index]
         counters[2] += 1
@@ -644,9 +638,8 @@ class _Specializer:
     # -- emission ---------------------------------------------------------
 
     def _finish(
-        self, bc: list, tk: list, regs: list, executed: int
+        self, regs: list, cycles: int, executed: int, op_counts: dict
     ) -> SpecializedProgram:
-        base = self.base
         reg_refs = [_materialize(self.dag, value) for value in regs]
         writebacks: list[tuple[int, int, object]] = []
         for j, overlay in enumerate(self.overlay):
@@ -670,22 +663,13 @@ class _Specializer:
         )
         exec(code, namespace)  # noqa: S102 - our own generated source
 
-        cycles = sum(base.block_cycles(bc, tk))
         return SpecializedProgram(
             program=self.program,
-            base=base,
             fn=namespace["_fastpath_v2"],
             source=source,
             cycles=cycles,
             instructions=executed,
-            block_counts=tuple(bc),
-            taken_counts=tuple(tk),
-            op_count_items=tuple(
-                sorted(
-                    base.fold_op_counts(bc).items(),
-                    key=lambda item: item[0].value,
-                )
-            ),
+            op_count_items=tuple(op_counts.items()),
             traffic=tuple(tuple(t) for t in self.traffic),
             reads_before_write=frozenset(self.rbw),
             dirty_cells=frozenset(self.dirty),

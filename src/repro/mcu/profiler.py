@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError, ExecutionError
 from repro.mcu.board import BoardProfile
 from repro.mcu.cpu import ExecutionResult
-from repro.mcu.fastpath import DEFAULT_ENGINE, FastCPU, make_cpu
+from repro.mcu.fastpath import (
+    DEFAULT_ENGINE,
+    FastCPU,
+    SpecializedCPU,
+    make_cpu,
+)
 from repro.mcu.isa import Program, Reg
 from repro.mcu.memory import MemoryMap
 from repro.mcu.timer import Tim2
@@ -137,7 +142,7 @@ class Profiler:
         """
         if batch < 1:
             raise ExecutionError("need at least one batch row")
-        if not (isinstance(self.cpu, FastCPU) and self.cpu.prefer_v2):
+        if not isinstance(self.cpu, SpecializedCPU):
             raise ConfigurationError(
                 "fused batch measurement requires engine='fastpath-v2' "
                 f"(profiler was built with engine={self.engine!r})"

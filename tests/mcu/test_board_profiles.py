@@ -1,8 +1,8 @@
 """BoardProfile as the single source of hardware truth (ISSUE 9).
 
 Profile fields, parameterized memory maps (including the RISC-V non-ARM
-bases), ceiling deadline conversion, capability-gated engine tiers, and
-Table 1 classification of all four reference profiles.
+bases), ceiling deadline conversion, every engine tier on every board,
+and Table 1 classification of all four reference profiles.
 """
 
 import pytest
@@ -19,9 +19,19 @@ from repro.mcu.board import (
     classify_board,
     format_board_profile_table,
 )
+from repro.mcu.cpu import CPU
+from repro.mcu.fastpath import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    FastCPU,
+    SpecializedCPU,
+)
 
 ALL_BOARDS = tuple(BOARD_PROFILES.values())
 BOARD_IDS = tuple(BOARD_PROFILES)
+ENGINE_CLASSES = {
+    "fastpath": FastCPU, "fastpath-v2": SpecializedCPU, "interpreter": CPU,
+}
 
 
 class TestProfiles:
@@ -122,26 +132,27 @@ class TestEngineGating:
     """Every tier runs on every board: the engines are host-side and
     bit-identical, so a simulated capability flag selects none."""
 
+    @staticmethod
+    def _assert_hosts_every_tier(board):
+        for engine in ENGINES:
+            cpu = board.make_cpu(board.make_memory(), engine)
+            assert type(cpu) is ENGINE_CLASSES[engine]
+            assert cpu.costs == board.costs
+        default = board.make_cpu(board.make_memory())
+        assert type(default) is ENGINE_CLASSES[DEFAULT_ENGINE]
+
     def test_all_reference_boards_host_every_tier(self):
         for board in ALL_BOARDS:
-            assert board.supported_engines() == (
-                "fastpath-v2", "fastpath", "interpreter"
-            )
-            assert board.resolve_engine("fastpath-v2") == "fastpath-v2"
+            self._assert_hosts_every_tier(board)
 
     def test_no_multiplier_board_hosts_every_tier(self):
-        soft_mul = BoardProfile(
+        self._assert_hosts_every_tier(BoardProfile(
             "ATSAMD09", "Cortex-M0+", 48_000_000, 64, 8, has_muls=False
-        )
-        assert soft_mul.supported_engines() == (
-            "fastpath-v2", "fastpath", "interpreter"
-        )
-        for engine in soft_mul.supported_engines():
-            assert soft_mul.resolve_engine(engine) == engine
+        ))
 
     def test_unknown_engine_is_typed(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
-            STM32F072RB.resolve_engine("jit")
+            STM32F072RB.make_cpu(STM32F072RB.make_memory(), "jit")
 
     def test_tier2_on_no_multiplier_board_is_bit_identical(
         self, trained_neuroc

@@ -8,9 +8,10 @@ instruction counts, op counts, and per-region traffic counters.  This
 file enforces it on every kernel encoding (dense, unrolled dense, all
 four sparse formats) and re-runs the 220-seed random-program fuzzer
 from ``test_fastpath`` with tier-2 preconditions (zero entry
-registers), covering both the accept path (single + fused) and the
-decline machinery.  It also pins the tiered cache-stats contract and
-dual-tier eviction, the layer-level shape of the emitted code, the
+registers) on the ``REPRO_FUZZ_BOARD`` profile, covering both the
+accept path (single + fused) and the decline machinery.  It also pins
+the tier-selection rules (tier 2, else the interpreter), the tiered
+cache-stats contract and eviction, the layer-level shape of the emitted code, the
 product type the specialize-time bound picks, and fused batches of a
 784-64-10 model on every board profile.
 """
@@ -27,7 +28,7 @@ from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 from repro.deploy.artifact import DeployedModel
 from repro.mcu.board import BOARD_PROFILES, STM32F072RB
 from repro.mcu.fastpath import (
-    FastCPU,
+    SpecializedCPU,
     clear_translation_cache,
     evict_translation,
     make_cpu,
@@ -46,6 +47,7 @@ from repro.mcu.isa import Assembler, Instr, Op, Program, Reg
 from repro.mcu.memory import MemoryMap
 from repro.quantize.ptq import QuantizedModel
 from tests.mcu.test_fastpath import (
+    FUZZ_BOARD,
     RAM,
     SCRATCH,
     _random_program,
@@ -241,8 +243,8 @@ class TestKernelDifferentialV2:
 # -- the fuzzer, tier-2 edition --------------------------------------------
 
 
-def _interp_run(program, ram_image, costs):
-    memory = MemoryMap.stm32()
+def _interp_run(program, ram_image, costs, board=STM32F072RB):
+    memory = board.make_memory()
     memory.region("ram").data[: len(ram_image)] = ram_image
     result = make_cpu(memory, costs=costs, engine="interpreter").run(
         program
@@ -250,13 +252,14 @@ def _interp_run(program, ram_image, costs):
     return result, memory
 
 
-def _check_batch_fused(program, sp, images, costs, context):
+def _check_batch_fused(program, sp, images, costs, context,
+                       board=STM32F072RB):
     """One fused call over ``images`` (RAM contents, one per row) leaves
     every row's registers and RAM as its own interpreter run would."""
-    refs = [_interp_run(program, image, costs) for image in images]
-    memory = MemoryMap.stm32()
+    refs = [_interp_run(program, image, costs, board) for image in images]
+    memory = board.make_memory()
     mats = make_batch_state(memory, len(images))
-    pos, off = _locate_writable(memory, RAM, SCRATCH)
+    pos, off = _locate_writable(memory, board.ram_base, SCRATCH)
     for row, image in enumerate(images):
         mats[pos][row, off:off + len(image)] = np.frombuffer(
             image, dtype=np.uint8
@@ -274,23 +277,34 @@ def _check_batch_fused(program, sp, images, costs, context):
         ), (context, row)
 
 
+def _fuzz_case(seed):
+    """Seed ``seed``'s program, RAM image and cost table on
+    ``FUZZ_BOARD``, the way ``TestFuzzDifferential`` builds them."""
+    program = _random_program(seed, FUZZ_BOARD.ram_base)
+    _, ram_image, costs = _random_state(seed)
+    return program, ram_image, costs or FUZZ_BOARD.costs
+
+
 class TestFuzzDifferentialV2:
     """The 220 fuzz seeds under tier-2 preconditions (zero registers).
 
-    201 of the 220 generated programs specialize (input-independent
-    control flow and addressing); the other 19 exercise the decline
-    machinery and must still be served bit-exactly by a lower tier.
-    Accepted programs are additionally run batch-fused over rows with
+    Runs against ``FUZZ_BOARD`` (REPRO_FUZZ_BOARD, default the M0), like
+    ``TestFuzzDifferential``: programs use the board's RAM base and run
+    in its memory map under its cost table.  Tier 2 prices its own
+    trace, so every board's cycles are checked here.  On the M0, 201 of
+    the 220 generated programs specialize (input-independent control
+    flow and addressing); the other 19 exercise the decline machinery
+    and must still be served bit-exactly by the interpreter.  Accepted
+    programs are additionally run batch-fused over rows with
     *different* RAM images and compared row-by-row.
     """
 
     @pytest.mark.parametrize("seed", range(220))
     def test_zero_entry_bit_exact(self, seed):
-        program = _random_program(seed)
-        _, ram_image, costs = _random_state(seed)
-        ref, ref_memory = _interp_run(program, ram_image, costs)
+        program, ram_image, costs = _fuzz_case(seed)
+        ref, ref_memory = _interp_run(program, ram_image, costs, FUZZ_BOARD)
 
-        memory = MemoryMap.stm32()
+        memory = FUZZ_BOARD.make_memory()
         memory.region("ram").data[: len(ram_image)] = ram_image
         cpu = make_cpu(memory, costs=costs, engine="fastpath-v2")
         got = cpu.run(program)
@@ -305,17 +319,17 @@ class TestFuzzDifferentialV2:
                 for _ in range(3)
             ]
             _check_batch_fused(
-                program, cpu.last_specialization, images, costs, seed
+                program, cpu.last_specialization, images, costs, seed,
+                FUZZ_BOARD,
             )
         else:
-            assert cpu.last_engine in ("fastpath", "interpreter")
+            assert cpu.last_engine == "interpreter"
 
     def test_fuzzer_exercises_both_tier2_paths(self):
         accepted = declined = 0
         for seed in range(220):
-            program = _random_program(seed)
-            _, ram_image, costs = _random_state(seed)
-            memory = MemoryMap.stm32()
+            program, ram_image, costs = _fuzz_case(seed)
+            memory = FUZZ_BOARD.make_memory()
             memory.region("ram").data[: len(ram_image)] = ram_image
             if translate_v2(program, memory, costs) is None:
                 declined += 1
@@ -337,13 +351,15 @@ def _trivial_program(name="tiny"):
 
 
 class TestTierSelection:
-    def test_nonzero_entry_registers_stay_on_tier1(self):
+    """Tier 2 serves a run or the interpreter does; nothing in between."""
+
+    def test_nonzero_entry_registers_run_on_the_interpreter(self):
         program = _trivial_program()
         memory = MemoryMap.stm32()
         cpu = make_cpu(memory, engine="fastpath-v2")
-        assert isinstance(cpu, FastCPU) and cpu.prefer_v2
+        assert isinstance(cpu, SpecializedCPU)
         result = cpu.run(program, {Reg.R5: 9})
-        assert cpu.last_engine == "fastpath"
+        assert cpu.last_engine == "interpreter"
         assert cpu.last_specialization is None
         assert result.registers[Reg.R0] == 42
 
@@ -352,7 +368,7 @@ class TestTierSelection:
         assert cpu.last_engine == "fastpath-v2"
         assert cpu.last_specialization is not None
 
-    def test_data_dependent_branch_declines_to_tier1(self):
+    def test_data_dependent_branch_declines_to_interpreter(self):
         asm = Assembler("sym-branch")
         asm.movi(Reg.R7, RAM)
         asm.ldrb(Reg.R0, Reg.R7, 0)
@@ -368,10 +384,10 @@ class TestTierSelection:
         cpu = make_cpu(memory, engine="fastpath-v2")
         ref, ref_memory = _interp_run(program, b"", None)
         got = cpu.run(program)
-        assert cpu.last_engine == "fastpath"
+        assert cpu.last_engine == "interpreter"
         _assert_results_equal(got, ref)
 
-    def test_data_dependent_address_declines_to_tier1(self):
+    def test_data_dependent_address_declines_to_interpreter(self):
         asm = Assembler("sym-addr")
         asm.movi(Reg.R7, RAM)
         asm.ldrb(Reg.R1, Reg.R7, 0)
@@ -383,12 +399,11 @@ class TestTierSelection:
         assert reason is not None and "depends on input data" in reason
         cpu = make_cpu(memory, engine="fastpath-v2")
         cpu.run(program)
-        assert cpu.last_engine == "fastpath"
+        assert cpu.last_engine == "interpreter"
 
-    def test_tier1_decline_propagates(self):
-        # Structurally invalid: ends in a non-branch, tier 1 declines,
-        # so tier 2 records the tier-1 reason and the interpreter
-        # fallback serves the (failing) run.
+    def test_malformed_program_declines_from_the_trace(self):
+        # Structurally invalid: ends in a non-branch, so the trace runs
+        # off the end; the interpreter serves the (failing) run.
         program = Program(
             (
                 Instr(Op.MOVI, (Reg.R0, 1)),
@@ -398,8 +413,7 @@ class TestTierSelection:
         )
         memory = MemoryMap.stm32()
         assert translate_v2(program, memory) is None
-        reason = why_declined_v2(program, memory)
-        assert reason is not None and reason.startswith("tier 1 declined")
+        assert why_declined_v2(program, memory) == "pc 2 out of range"
         cpu = make_cpu(memory, engine="fastpath-v2")
         with pytest.raises(ExecutionError, match="out of range"):
             cpu.run(program)
@@ -408,17 +422,17 @@ class TestTierSelection:
     def test_instruction_cap_respected(self):
         # The fused body cannot stop mid-flight, so tier 2 only serves
         # runs that provably fit under max_instructions; over the cap
-        # the chain falls to tier 1, which raises like the interpreter.
+        # the interpreter runs and raises.
         program = _trivial_program("capped")     # executes 3
         memory = MemoryMap.stm32()
-        cpu = FastCPU(memory, prefer_v2=True, max_instructions=3)
+        cpu = SpecializedCPU(memory, max_instructions=3)
         result = cpu.run(program)
         assert cpu.last_engine == "fastpath-v2"
         assert result.instructions == 3
-        tight = FastCPU(memory, prefer_v2=True, max_instructions=2)
+        tight = SpecializedCPU(memory, max_instructions=2)
         with pytest.raises(ExecutionError, match="exceeded 2 instructions"):
             tight.run(program)
-        assert tight.last_engine != "fastpath-v2"
+        assert tight.last_engine == "interpreter"
 
     def test_specialization_is_shared_across_replicas(self):
         # Two byte-identical programs against identical frozen content
@@ -464,11 +478,12 @@ class TestTieredCacheStats:
         }
         assert stats["v2"]["entries"] == 0
 
-        # translate_v2 records a v2 miss and *hits* the v1 entry it
-        # builds on.
+        # translate_v2 records a v2 miss and leaves tier 1 untouched.
         translate_v2(program, memory)
         stats = translation_cache_stats()
-        assert stats["v1"]["hits"] == 1
+        assert stats["v1"] == {
+            "entries": 1, "hits": 0, "misses": 1, "declined": 0,
+        }
         assert stats["v2"] == {
             "entries": 1, "hits": 0, "misses": 1, "declined": 0,
         }
@@ -484,6 +499,17 @@ class TestTieredCacheStats:
             == stats["v1"]["misses"] + stats["v2"]["misses"]
         )
 
+    def test_cold_specialization_builds_no_tier1_entry(self):
+        clear_translation_cache()
+        assert isinstance(
+            translate_v2(_trivial_program("alone"), MemoryMap.stm32()),
+            SpecializedProgram,
+        )
+        stats = translation_cache_stats()
+        assert stats["v1"]["entries"] == 0
+        assert stats["v1"]["misses"] == 0
+        assert stats["v2"]["entries"] == 1
+
     def test_declines_counted_per_tier(self):
         clear_translation_cache()
         asm = Assembler("declines")
@@ -496,8 +522,9 @@ class TestTieredCacheStats:
         program = asm.assemble()
         memory = MemoryMap.stm32()
         assert translate_v2(program, memory) is None
+        assert translate(program, memory) is not None  # tier 1 accepts it
         stats = translation_cache_stats()
-        assert stats["v1"]["declined"] == 0      # tier 1 accepts it
+        assert stats["v1"]["declined"] == 0
         assert stats["v2"]["declined"] == 1
         assert stats["declined"] == 1
 
@@ -515,11 +542,12 @@ class TestTieredCacheStats:
         assert stats["v1"]["entries"] == 0
         assert stats["v2"]["entries"] == 0
 
-        # Rebuilding after eviction misses both tiers again.
+        # Rebuilding tier 2 after eviction misses tier 2 alone.
         translate_v2(program, memory)
         stats = translation_cache_stats()
-        assert stats["v1"]["misses"] == 2
+        assert stats["v1"]["misses"] == 1
         assert stats["v2"]["misses"] == 2
+        assert stats["v1"]["entries"] == 0
 
     def test_evict_with_only_v1_present(self):
         clear_translation_cache()

@@ -92,9 +92,7 @@ class TestServeConfigEngine:
             reports[engine] = report
         fast, interp = reports["fastpath"], reports["interpreter"]
         # Same model semantics regardless of engine: every request gets
-        # the same label and the same per-inference cycle count.  (Batch
-        # composition depends on worker-thread timing, so aggregate
-        # latency quantiles are not compared bit-for-bit.)
+        # the same label and the same per-inference cycle count.
         assert fast.conserved and interp.conserved
         assert fast.completed == interp.completed == 24
 

@@ -160,9 +160,10 @@ class TestRefcountedEviction:
     def test_last_release_evicts_both_translation_tiers(
         self, small_trained
     ):
-        """A v2-registered model warms tier-1 translations *and* tier-2
-        specializations; release() must drop both, or retired blue/green
-        replicas would pin specialized kernels forever."""
+        """A v2-registered model warms tier-2 specializations and a
+        tier-1 replica of it warms translations; release() must drop
+        both, or retired blue/green replicas would pin compiled kernels
+        forever."""
         from repro.mcu.fastpath import translation_cache_stats
 
         registry = ModelRegistry()
@@ -170,6 +171,9 @@ class TestRefcountedEviction:
             small_trained.quantized, engine="fastpath-v2"
         )
         layers = len(artifact.deployed.images)
+        assert artifact.deployed.warm_translations() == layers
+        assert artifact.replica(engine="fastpath").warm_translations() \
+            == layers
         before = translation_cache_stats()
         assert before["v1"]["entries"] >= layers
         assert before["v2"]["entries"] >= layers
