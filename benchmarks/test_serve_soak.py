@@ -22,9 +22,10 @@ to 150, as the CI job does) to shrink the trace; the default soaks 600
 requests over 4 devices.
 
 The replay also runs under the strict runtime lock-order sanitizer:
-the runtime's locks are swapped for wrappers that assert the lock
-acquisition order derived by the static concurrency analyzer.  Serve
-locks are leaf-level, so any nesting at all fails the soak.
+the runtime lock is swapped for a wrapper that asserts the lock
+acquisition order derived by the static concurrency analyzer.  The
+runtime lock is the only lock a replay takes (its metrics and tracer
+hold none), so any nesting at all fails the soak.
 """
 
 import os

@@ -4,8 +4,10 @@ Entry points:
 
 - :func:`analyze_paths` — files/dirs in, :class:`ConcurrencyReport`
   out (violations, guard inferences, lock-order graph).
-- :func:`sanitizer_for_report` / :func:`instrument_runtime` — turn the
-  static lock order into a live assertion inside soak tests.
+- :func:`sanitizer_for_report` / :func:`instrument_runtime` /
+  :func:`instrument_cluster` — turn the static lock order into a live
+  assertion over the runtime, cluster and model-registry locks inside
+  soak tests.
 - ``repro lint-concurrency`` — the CLI front-end with baseline
   handling and DOT export.
 """

@@ -21,6 +21,13 @@ run completes and the test asserts ``sanitizer.violations == []`` at
 the end.  ``SanitizedLock`` implements the small protocol
 ``threading.Condition`` needs from its underlying lock (including
 ``_is_owned``), so ``threading.Condition(sanitizer.wrap(...))`` works.
+
+:func:`instrument_runtime` and :func:`instrument_cluster` wrap the
+serve and cluster stacks' locks: each runtime lock, the cluster lock
+and the model registry's lock.  Nothing else there holds a lock: a
+runtime's metrics registry and span collector, and the cluster's
+router, are owned by their runtime's or cluster's lock, and the static
+analyzer checks every access to them.
 """
 
 from __future__ import annotations
@@ -204,87 +211,15 @@ def sanitizer_for_report(report, strict: bool = False
 
 
 def instrument_runtime(runtime, sanitizer: LockOrderSanitizer) -> None:
-    """Swap a ServeRuntime's locks for sanitized wrappers, in place.
+    """Swap a ServeRuntime's lock for a sanitized wrapper, in place.
 
-    Must run before the runtime serves its first request.  Covers the
-    runtime lock, the tracer, the registry, and every metric the
-    registry hands out (metric locks are created lazily, so the
-    registry's factory methods are shadowed to wrap them at creation).
+    Must run before the runtime serves its first request.  The runtime
+    lock is the only lock a runtime holds: its metrics registry and
+    span collector are touched only under it.
     """
-    prefix = "repro.serve"
     runtime._lock = sanitizer.wrap(
-        f"{prefix}.runtime.ServeRuntime._lock", runtime._lock
+        "repro.serve.runtime.ServeRuntime._lock", runtime._lock
     )
-    tracer = getattr(runtime, "tracer", None)
-    if tracer is not None and hasattr(tracer, "_lock"):
-        tracer._lock = sanitizer.wrap(
-            f"{prefix}.tracing.TraceCollector._lock", tracer._lock
-        )
-    registry = getattr(runtime, "metrics", None)
-    if registry is not None and hasattr(registry, "_lock"):
-        registry._lock = sanitizer.wrap(
-            f"{prefix}.metrics.MetricsRegistry._lock", registry._lock
-        )
-        _wrap_metric_locks(registry, sanitizer, prefix)
-
-
-def _wrap_metric_locks(registry, sanitizer, prefix) -> None:
-    """Wrap existing metric locks and intercept lazily created ones."""
-    for kind, bucket_name in (
-        ("Counter", "_counters"),
-        ("Gauge", "_gauges"),
-        ("Histogram", "_histograms"),
-    ):
-        bucket = getattr(registry, bucket_name, None)
-        if not isinstance(bucket, dict):
-            continue
-        for metric in bucket.values():
-            if hasattr(metric, "_lock"):
-                metric._lock = sanitizer.wrap(
-                    f"{prefix}.metrics.{kind}._lock", metric._lock
-                )
-
-    originals = {
-        name: getattr(registry, name)
-        for name in ("counter", "gauge", "histogram")
-        if hasattr(registry, name)
-    }
-
-    def shadow(name, kind):
-        original = originals[name]
-
-        def wrapped(*args, **kwargs):
-            metric = original(*args, **kwargs)
-            if hasattr(metric, "_lock") and not isinstance(
-                metric._lock, SanitizedLock
-            ):
-                metric._lock = sanitizer.wrap(
-                    f"{prefix}.metrics.{kind}._lock", metric._lock
-                )
-            return metric
-
-        return wrapped
-
-    for name, kind in (("counter", "Counter"), ("gauge", "Gauge"),
-                       ("histogram", "Histogram")):
-        if name in originals:
-            setattr(registry, name, shadow(name, kind))
-
-    # Rate views (created lazily too) carry their own leaf lock.
-    if hasattr(registry, "rate_view"):
-        original_rate_view = registry.rate_view
-
-        def wrapped_rate_view(*args, **kwargs):
-            view = original_rate_view(*args, **kwargs)
-            if hasattr(view, "_lock") and not isinstance(
-                view._lock, SanitizedLock
-            ):
-                view._lock = sanitizer.wrap(
-                    f"{prefix}.metrics.RateView._lock", view._lock
-                )
-            return view
-
-        registry.rate_view = wrapped_rate_view
 
 
 def instrument_cluster(cluster, sanitizer: LockOrderSanitizer) -> None:
@@ -301,16 +236,10 @@ def instrument_cluster(cluster, sanitizer: LockOrderSanitizer) -> None:
         raise RuntimeError(
             "instrument_cluster must be called before Cluster.start()"
         )
-    prefix = "repro.cluster"
     cluster._sanitizer = sanitizer
     cluster._lock = sanitizer.wrap(
-        f"{prefix}.cluster.Cluster._lock", cluster._lock
+        "repro.cluster.cluster.Cluster._lock", cluster._lock
     )
-    router = getattr(cluster, "router", None)
-    if router is not None and hasattr(router, "_lock"):
-        router._lock = sanitizer.wrap(
-            f"{prefix}.router.Router._lock", router._lock
-        )
     registry = getattr(cluster, "registry", None)
     if registry is not None and hasattr(registry, "_lock") and \
             not isinstance(registry._lock, SanitizedLock):

@@ -23,8 +23,9 @@ and offers it, and records the request id — the ledger
 prove no request was lost.  Submits may come from many producer
 threads: one cluster lock serializes them with the control ticks they
 drive, so generation swaps are atomic with respect to every submit.
-Under it sit each runtime's lock, then the leaf-level router, registry,
-metric and tracer locks; the strict
+The router and fleets hold no locks.  Under the cluster lock sit only
+each runtime's lock and the model registry's lock, neither nested in
+the other; the strict
 :class:`~repro.analysis.concurrency.LockOrderSanitizer` checks that
 order in the soak harness.
 """
@@ -145,7 +146,7 @@ class Cluster:
     ) -> None:
         self.config = config or ClusterConfig()
         self.registry = registry
-        self.router = Router(
+        self.router = Router(  # guarded_by: _lock
             self.config.router_policy, seed=self.config.router_seed
         )
         self.autoscaler = (

@@ -42,6 +42,11 @@ RETIRED = "retired"
 FLEET_STATES = (ACTIVE, DRAINING, RETIRED)
 
 
+def generation_namespace(fleet: str, generation: int) -> str:
+    """The trace namespace a fleet stamps on a generation's spans."""
+    return fleet if generation == 0 else f"{fleet}.g{generation}"
+
+
 @dataclasses.dataclass(frozen=True)
 class FleetSignals:
     """One control-tick reading of a fleet's live, measured signals.
@@ -82,9 +87,6 @@ class FleetGeneration:
         self.rejected_rate: RateView = runtime.metrics.rate_view(
             "requests.rejected", window_ms
         )
-        self.completed_rate: RateView = runtime.metrics.rate_view(
-            "requests.completed", window_ms
-        )
         self._window_ms = window_ms
         self._busy_samples: list[tuple[float, float]] = []
         #: Per-request service time for queue-wait scoring.
@@ -96,7 +98,6 @@ class FleetGeneration:
         """Advance every windowed signal to simulated time ``now_ms``."""
         self.offered_rate.sample(now_ms)
         self.rejected_rate.sample(now_ms)
-        self.completed_rate.sample(now_ms)
         busy = sum(d.busy_ms for d in self.runtime.devices)
         samples = self._busy_samples
         samples.append((now_ms, busy))
@@ -153,11 +154,9 @@ class Fleet:
     def _build_generation(self, artifact: ModelArtifact) -> FleetGeneration:
         index = self._gen_count
         self._gen_count += 1
-        namespace = (
-            self.name if index == 0 else f"{self.name}.g{index}"
-        )
         config = dataclasses.replace(
-            self.config, trace_namespace=namespace
+            self.config,
+            trace_namespace=generation_namespace(self.name, index),
         )
         runtime = ServeRuntime(artifact, config)
         if self._sanitizer is not None:
@@ -259,9 +258,14 @@ class Fleet:
         )
 
     def est_queue_wait_ms(self) -> float:
-        """Live routing score: estimated wait for a new arrival."""
+        """Estimated queue wait for a new arrival."""
         gen = self._gen
         return gen.est_queue_wait_ms() if gen is not None else float("inf")
+
+    def service_ms(self) -> float:
+        """Per-request service time on the live generation's boards."""
+        gen = self._gen
+        return gen.service_ms if gen is not None else float("inf")
 
     def queue_depth(self) -> int:
         gen = self._gen

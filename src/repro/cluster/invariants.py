@@ -33,12 +33,8 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.cluster.cluster import ClusterReport
+from repro.cluster.fleet import generation_namespace
 from repro.serve.tracing import verify_trace_invariants
-
-
-def generation_namespace(fleet: str, generation: int) -> str:
-    """The trace namespace a fleet stamps on a generation's spans."""
-    return fleet if generation == 0 else f"{fleet}.g{generation}"
 
 
 def verify_cluster_invariants(

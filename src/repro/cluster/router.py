@@ -14,15 +14,18 @@ live :class:`~repro.cluster.fleet.FleetSignals`:
     which is salted per process and would destroy determinism.
 
 ``least-queue-wait``
-    Greedy join-shortest-estimated-wait: pick the fleet whose live
-    backlog (queue depth x per-request service estimate / devices)
-    predicts the smallest wait.  Ties break on depth then fleet id, so
+    Greedy join-soonest-estimated-completion: pick the fleet whose live
+    backlog (queue depth x per-request service estimate / devices) plus
+    one service time predicts the earliest completion for a new
+    arrival.  Counting the service time matters on mixed boards: every
+    idle fleet has zero wait, and only the service time tells a fast
+    board from a slow one.  Ties break on depth then fleet id, so
     routing is deterministic given identical signals.
 
 ``deadline-p2c``
     Deadline-aware power-of-two-choices: sample two distinct candidate
-    fleets with a seeded RNG, keep those whose estimated wait still
-    meets the request's deadline, and take the less-loaded of what
+    fleets with a seeded RNG, keep those whose estimated completion
+    still meets the request's deadline, and take the sooner of what
     survives.  P2C gets most of the load-balancing benefit of global
     least-loaded while probing only two fleets — the classic
     "power of two choices" result — and the deadline filter steers
@@ -30,8 +33,8 @@ live :class:`~repro.cluster.fleet.FleetSignals`:
 
 All policies route only to ``ACTIVE`` fleets: a fleet marked draining
 by the autoscaler or mid-retirement never receives new work (the
-property tests pin this).  The router's lock guards only its RNG and
-ring cache — leaf-level, never held across fleet calls.
+property tests pin this).  A router holds no lock: its cluster calls
+it only under the cluster's lock.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-import threading
 
 from repro.cluster.fleet import ACTIVE, Fleet
 from repro.errors import ConfigurationError
@@ -57,6 +59,16 @@ def _stable_hash(key: str) -> int:
     """Process-stable 64-bit hash (``hash()`` is salted per process)."""
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _score(fleet: Fleet) -> tuple[float, int, int]:
+    """Rank key: estimated completion of a new arrival, then queue
+    depth, then fleet id."""
+    return (
+        fleet.est_queue_wait_ms() + fleet.service_ms(),
+        fleet.queue_depth(),
+        fleet.fleet_id,
+    )
 
 
 class NoRoutableFleetError(ConfigurationError):
@@ -82,12 +94,11 @@ class Router:
             raise ConfigurationError("vnodes must be >= 1")
         self.policy = policy
         self.vnodes = vnodes
-        self._lock = threading.Lock()
-        self._rng = random.Random(seed)  # guarded_by: _lock
+        self._rng = random.Random(seed)
         # Ring cache keyed by the tuple of member fleet names, so the
         # ring is rebuilt only when membership actually changes.
-        self._ring_key: tuple[str, ...] | None = None  # guarded_by: _lock
-        self._ring: list[tuple[int, int]] = []         # guarded_by: _lock
+        self._ring_key: tuple[str, ...] | None = None
+        self._ring: list[tuple[int, int]] = []
 
     # -- policy implementations -----------------------------------------
 
@@ -95,19 +106,15 @@ class Router:
         self, fleets: list[Fleet]
     ) -> list[tuple[int, int]]:
         key = tuple(f.name for f in fleets)
-        with self._lock:
-            if key == self._ring_key:
-                return self._ring
-        ring = []
-        for fleet in fleets:
-            for v in range(self.vnodes):
-                point = _stable_hash(f"fleet:{fleet.name}:vnode:{v}")
-                ring.append((point, fleet.fleet_id))
-        ring.sort()
-        with self._lock:
+        if key != self._ring_key:
+            self._ring = sorted(
+                (_stable_hash(f"fleet:{fleet.name}:vnode:{v}"),
+                 fleet.fleet_id)
+                for fleet in fleets
+                for v in range(self.vnodes)
+            )
             self._ring_key = key
-            self._ring = ring
-        return ring
+        return self._ring
 
     def _route_hash(
         self, request: InferenceRequest, fleets: list[Fleet]
@@ -120,31 +127,21 @@ class Router:
         return by_id[fleet_id]
 
     def _route_least_wait(self, fleets: list[Fleet]) -> Fleet:
-        return min(
-            fleets,
-            key=lambda f: (
-                f.est_queue_wait_ms(), f.queue_depth(), f.fleet_id
-            ),
-        )
+        return min(fleets, key=_score)
 
     def _route_deadline_p2c(
         self, request: InferenceRequest, fleets: list[Fleet]
     ) -> Fleet:
         if len(fleets) == 1:
             return fleets[0]
-        with self._lock:
-            a, b = self._rng.sample(range(len(fleets)), 2)
+        a, b = self._rng.sample(range(len(fleets)), 2)
         candidates = [fleets[a], fleets[b]]
-        scored = [
-            (f.est_queue_wait_ms(), f.queue_depth(), f.fleet_id, f)
-            for f in candidates
-        ]
         if request.deadline_ms is not None:
             slack = request.deadline_ms - request.arrival_ms
-            feasible = [s for s in scored if s[0] <= slack]
+            feasible = [f for f in candidates if _score(f)[0] <= slack]
             if feasible:
-                scored = feasible
-        return min(scored)[3]
+                candidates = feasible
+        return min(candidates, key=_score)
 
     # -- entry point -----------------------------------------------------
 

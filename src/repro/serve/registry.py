@@ -219,7 +219,7 @@ class ModelRegistry:
             self.evictions += 1
         # Translation-cache eviction happens outside the registry lock:
         # it takes the fastpath module's cache lock, and keeping the two
-        # disjoint keeps every serve-side lock leaf-level.
+        # disjoint keeps the serve lock graph free of nesting.
         retired.deployed.evict_translations()
         return True
 

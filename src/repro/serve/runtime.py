@@ -30,8 +30,10 @@ milliseconds*: a request's latency is its completion time minus its
 trace arrival time.
 
 Concurrency: ``submit()`` may be called from many producer threads.
-One lock per runtime serializes them and the event loop they drive;
-the metric, tracer and registry locks taken under it are leaf-level.
+One lock per runtime serializes them and the event loop they drive.
+The runtime owns its metrics registry and span collector, which hold
+no locks of their own: every access to them happens under the runtime
+lock, and the concurrency analyzer checks that.
 """
 
 from __future__ import annotations
@@ -160,14 +162,15 @@ class ServeRuntime:
         self,
         artifact: ModelArtifact,
         config: ServeConfig | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.artifact = artifact
         self.config = config or ServeConfig()
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()  # guarded_by: _lock
         # Tracing is always on: the collector is bounded, so long
         # replays degrade to dropped spans rather than unbounded memory.
-        self.tracer = TraceCollector(namespace=self.config.trace_namespace)
+        self.tracer = TraceCollector(  # guarded_by: _lock
+            namespace=self.config.trace_namespace
+        )
         injector = (
             FaultInjector(self.config.fault_plan)
             if self.config.fault_plan is not None else None
@@ -459,6 +462,7 @@ class ServeRuntime:
 
     # -- reporting -------------------------------------------------------
 
+    @guarded_by("_lock")
     def _span(
         self,
         request: InferenceRequest,
@@ -507,12 +511,13 @@ class ServeRuntime:
                 f"device.{device.device_id}": device.busy_ms
                 for device in self.devices
             }
+            for name, value in utilization.items():
+                self.metrics.gauge(f"{name}.utilization").set(value)
+            snapshot = self.metrics.snapshot()
+            tracer = self.tracer
         completed = sum(1 for o in outcomes if o.status == COMPLETED)
         rejected = sum(1 for o in outcomes if o.status == REJECTED)
         failed = sum(1 for o in outcomes if o.status == FAILED)
-        for name, value in utilization.items():
-            self.metrics.gauge(f"{name}.utilization").set(value)
-        snapshot = self.metrics.snapshot()
         throughput = (
             completed / (makespan / 1e3) if makespan > 0.0 else 0.0
         )
@@ -534,5 +539,5 @@ class ServeRuntime:
             engine=self.config.engine,
             outcomes=outcomes,
             device_busy_ms=busy,
-            trace=self.tracer,
+            trace=tracer,
         )

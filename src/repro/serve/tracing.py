@@ -47,7 +47,6 @@ journey as plain text for tests and the CLI.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -114,7 +113,10 @@ class Span:
 
 
 class TraceCollector:
-    """Bounded, thread-safe store of spans, indexed by request id.
+    """Bounded store of spans, indexed by request id.
+
+    A collector has one owner (a :class:`~repro.serve.runtime.
+    ServeRuntime`) and is written only under that owner's lock.
 
     ``namespace`` names the fleet this collector traces (e.g.
     ``"fleet-0"``).  Every recorded span is stamped with it, and the
@@ -131,35 +133,26 @@ class TraceCollector:
             raise ConfigurationError("trace capacity must be positive")
         self.capacity = capacity
         self.namespace = namespace
-        self._spans: list[Span] = []  # guarded_by: _lock
-        self._dropped = 0  # guarded_by: _lock
-        self._lock = threading.Lock()
+        self._spans: list[Span] = []
+        #: Spans discarded because the collector was full.
+        self.dropped = 0
 
     def record(self, span: Span) -> bool:
         """Store one span; ``False`` when the bounded buffer dropped it."""
         if self.namespace is not None and span.fleet is None:
             span = replace(span, fleet=self.namespace)
-        with self._lock:
-            if len(self._spans) >= self.capacity:
-                self._dropped += 1
-                return False
-            self._spans.append(span)
-            return True
-
-    @property
-    def dropped(self) -> int:
-        """Spans discarded because the collector was full."""
-        with self._lock:
-            return self._dropped
+        if len(self._spans) >= self.capacity:
+            self.dropped += 1
+            return False
+        self._spans.append(span)
+        return True
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+        return len(self._spans)
 
     def spans(self) -> tuple[Span, ...]:
         """Every recorded span, in recording order."""
-        with self._lock:
-            return tuple(self._spans)
+        return tuple(self._spans)
 
     def request_ids(self) -> tuple[int, ...]:
         """Distinct request ids with at least one span, ascending."""
@@ -281,13 +274,7 @@ class TraceCollector:
         events.  Overlapping queue-track intervals (many requests queued
         at once) render stacked, which is the intended reading.
         """
-        trace: dict[str, Any] = {
-            "traceEvents": self.trace_events(),
-            "displayTimeUnit": "ms",
-        }
-        if labels:
-            trace["metadata"] = dict(labels)
-        return trace
+        return merged_chrome_trace([self], labels)
 
     def write_chrome_trace(
         self, path, labels: dict[str, str] | None = None

@@ -171,9 +171,9 @@ class TestConditionCompatibility:
 class TestInstrumentedRuntime:
     def test_soak_scenario_with_sanitizer(self, small_artifact,
                                           digits_small):
-        """A threaded replay through a fully instrumented runtime:
-        the statically derived order holds, strictly (only the runtime
-        lock nests, and only into leaf locks)."""
+        """A threaded replay through an instrumented runtime: the
+        statically derived order holds, strictly (no serve lock
+        nests)."""
         from pathlib import Path
 
         import repro

@@ -70,10 +70,10 @@ def cluster_concurrency_report():
 def cluster_sanitizer(cluster_concurrency_report):
     """Strict sanitizer covering the serve AND cluster lock sets.
 
-    The cluster lock nests into runtime and leaf locks, the runtime
-    lock into leaf locks, and nothing else nests; strict mode (flagging
-    any nesting the static graph does not model) must stay silent
-    across a full cluster replay.  The teardown assertion enforces it
+    The cluster lock nests into the runtime and model-registry locks,
+    and nothing else nests; strict mode (flagging any nesting the
+    static graph does not model) must stay silent across a full
+    cluster replay.  The teardown assertion enforces it
     for every test that instruments its cluster.
     """
     sanitizer = sanitizer_for_report(

@@ -16,7 +16,7 @@ rolling deploys fire:
 Afterwards, every cluster-scope invariant must hold — per-generation
 trace invariants, cluster conservation, the zero-lost-requests outcome
 ledger, per-fleet span stamping — and the strict lock-order sanitizer
-(covering the cluster's, router's, fleets', and every runtime's locks)
+(covering the cluster's lock and every runtime's lock)
 must have seen zero nesting.
 
 Reduced configuration: set ``REPRO_CLUSTER_SOAK_REQUESTS`` (the CI job

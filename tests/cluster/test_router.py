@@ -1,7 +1,8 @@
 """Router property tests: stickiness, remap bounds, drain safety.
 
 These run against lightweight stand-in fleets (the router only reads
-``state``, ``fleet_id``, ``name``, and the two live load signals), so
+``state``, ``fleet_id``, ``name``, the two live load signals and the
+per-request service time), so
 thousands of routing decisions cost microseconds.
 """
 
@@ -21,18 +22,23 @@ from repro.serve.request import InferenceRequest
 
 
 class StubFleet:
-    def __init__(self, fleet_id, wait_ms=0.0, depth=0, state=ACTIVE):
+    def __init__(self, fleet_id, wait_ms=0.0, depth=0, state=ACTIVE,
+                 service_ms=1.0):
         self.fleet_id = fleet_id
         self.name = f"fleet-{fleet_id}"
         self.state = state
         self._wait_ms = wait_ms
         self._depth = depth
+        self._service_ms = service_ms
 
     def est_queue_wait_ms(self):
         return self._wait_ms
 
     def queue_depth(self):
         return self._depth
+
+    def service_ms(self):
+        return self._service_ms
 
 
 def _request(request_id, arrival_ms=0.0, deadline_ms=None):
@@ -132,6 +138,14 @@ class TestLeastQueueWait:
                   StubFleet(2, wait_ms=2.0, depth=1)]
         assert router.route(_request(1), fleets).fleet_id == 1
 
+    def test_idle_faster_fleet_beats_lower_id(self):
+        """Idle fleets all wait 0 ms; the faster board finishes first,
+        so it wins even though the slower one has the lower id."""
+        router = Router("least-queue-wait")
+        fleets = [StubFleet(0, service_ms=7.5),
+                  StubFleet(1, service_ms=0.5)]
+        assert router.route(_request(1), fleets).fleet_id == 1
+
     def test_skips_draining(self):
         router = Router("least-queue-wait")
         fleets = [StubFleet(0, wait_ms=9.0),
@@ -179,6 +193,17 @@ class TestDeadlineP2C:
             _request(2, arrival_ms=0.0, deadline_ms=10.0), fleets
         )
         assert chosen.fleet_id == 0
+
+    def test_slack_filter_counts_service_time(self):
+        # Both fleets are idle; only the fast one finishes by the
+        # deadline, so it wins despite the higher id.
+        router = Router("deadline-p2c", seed=0)
+        fleets = [StubFleet(0, service_ms=20.0),
+                  StubFleet(1, service_ms=2.0)]
+        chosen = router.route(
+            _request(1, arrival_ms=0.0, deadline_ms=10.0), fleets
+        )
+        assert chosen.fleet_id == 1
 
     def test_never_routes_to_draining_fleet(self):
         router = Router("deadline-p2c", seed=3)

@@ -43,10 +43,10 @@ def serve_concurrency_report():
 def lock_sanitizer(serve_concurrency_report):
     """A strict runtime lock-order sanitizer for one test.
 
-    Strict mode asserts the static model exactly: only the runtime
-    lock nests, and only into the leaf locks the graph names, so any
-    other nesting of two sanitized locks — let alone out-of-order
-    nesting — is a violation.
+    Strict mode asserts the static model exactly.  The serve graph has
+    no edges — the runtime lock is the only lock a replay takes, and
+    its metrics and tracer hold none — so any nesting of two sanitized
+    locks is a violation.
     The teardown assertion makes every soak replay that instruments
     its runtime also validate acquisition order.
     """

@@ -13,10 +13,10 @@ assert on *every* run the invariants the tracer makes checkable:
 - utilization is within [0, 1].
 
 Every replay additionally runs under the strict runtime lock-order
-sanitizer (the ``lock_sanitizer`` fixture): the runtime's locks are
-swapped for instrumented wrappers that assert the statically derived
-acquisition order — only the runtime lock nests, and only into leaf
-locks, so any other nesting fails the test at teardown.
+sanitizer (the ``lock_sanitizer`` fixture): the runtime lock is
+swapped for an instrumented wrapper that asserts the statically derived
+acquisition order.  The static graph has no serve edges, so any nesting
+fails the test at teardown.
 
 The regression classes at the bottom pin the concrete accounting and
 concurrency bugs the harness was built to expose; each fails on the

@@ -1,8 +1,6 @@
 """The metrics layer: counters, gauges, histograms, snapshots."""
 
 import json
-import sys
-import threading
 
 import pytest
 
@@ -22,20 +20,6 @@ class TestCounterGauge:
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-
-    def test_counter_thread_safe(self):
-        counter = Counter()
-
-        def bump():
-            for _ in range(1000):
-                counter.inc()
-
-        threads = [threading.Thread(target=bump) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == 8000
 
     def test_gauge_set_add(self):
         gauge = Gauge()
@@ -61,49 +45,6 @@ class TestHistogram:
         summary = Histogram().summary()
         assert summary["count"] == 0
         assert summary["p99"] == 0.0
-
-    def test_summary_is_one_consistent_snapshot(self):
-        """ISSUE-4 satellite: all summary fields from ONE lock hold.
-
-        A single writer observes the sequence 0, 1, 2, ..., so at every
-        instant the histogram satisfies ``max == count - 1`` exactly.
-        Pre-fix, ``summary()`` read ``count`` under the lock but
-        ``_min``/``_max`` (and the quantile reservoir) *after* releasing
-        it, so a concurrent ``observe()`` produced summaries mixing two
-        instants — detectable as ``max > count - 1``.
-        """
-        # Small reservoir: the tear detector only needs count/min/max,
-        # and a small capacity keeps the per-summary sort cheap.
-        hist = Histogram(capacity=512)
-        stop = threading.Event()
-
-        def writer():
-            value = 0
-            while not stop.is_set():
-                hist.observe(float(value))
-                value += 1
-
-        thread = threading.Thread(target=writer)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        torn = []
-        try:
-            thread.start()
-            for _ in range(2000):
-                summary = hist.summary()
-                if summary["count"] == 0:
-                    continue
-                if summary["max"] != summary["count"] - 1:
-                    torn.append(summary)
-                if not (summary["min"] <= summary["p50"]
-                        <= summary["p95"] <= summary["p99"]
-                        <= summary["max"]):
-                    torn.append(summary)
-        finally:
-            stop.set()
-            thread.join()
-            sys.setswitchinterval(interval)
-        assert not torn, f"torn summaries: {torn[:3]}"
 
     def test_reservoir_keeps_count_past_capacity(self):
         hist = Histogram(capacity=16)
@@ -144,7 +85,6 @@ class TestRateView:
             counter.inc(10)
         view.sample(200.0)
         assert view.rate_per_s() == pytest.approx(1000.0)
-        assert view.ewma_per_s == pytest.approx(1000.0)
 
     def test_window_prunes_old_samples(self):
         counter = Counter()
@@ -167,17 +107,13 @@ class TestRateView:
     def test_cold_view_reads_zero(self):
         view = RateView(Counter())
         assert view.rate_per_s() == 0.0
-        assert view.ewma_per_s == 0.0
-        summary = view.summary()
-        assert summary == {"windowed_per_s": 0.0, "ewma_per_s": 0.0}
+        assert view.summary() == {"windowed_per_s": 0.0}
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RateView(Counter(), window_ms=0.0)
         with pytest.raises(ConfigurationError):
-            RateView(Counter(), alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            RateView(Counter(), alpha=1.5)
+            RateView(Counter(), window_ms=-1.0)
 
     def test_registry_hands_out_one_view_per_name(self):
         registry = MetricsRegistry()
@@ -192,45 +128,3 @@ class TestRateView:
         assert snapshot["rates"]["requests.offered"][
             "windowed_per_s"
         ] == pytest.approx(1000.0)
-
-    def test_no_torn_reads_under_hammer(self):
-        """ISSUE-7 satellite: windowed rates stay sane mid-increment.
-
-        One writer increments the counter monotonically while a sampler
-        advances simulated time and reads rates at a hostile thread
-        switch interval.  A torn read would surface as a negative or
-        non-finite rate (a sample pair whose counter values ran
-        backwards) -- monotone counters can never yield one.
-        """
-        import math
-
-        counter = Counter()
-        view = RateView(counter, window_ms=5.0)
-        stop = threading.Event()
-        torn = []
-
-        def sampler():
-            now = 0.0
-            while not stop.is_set():
-                now += 0.01
-                view.sample(now)
-                windowed = view.rate_per_s()
-                ewma = view.ewma_per_s
-                if windowed < 0.0 or not math.isfinite(windowed):
-                    torn.append(("windowed", windowed))
-                if ewma < 0.0 or not math.isfinite(ewma):
-                    torn.append(("ewma", ewma))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        thread = threading.Thread(target=sampler)
-        thread.start()
-        try:
-            for _ in range(20_000):
-                counter.inc()
-        finally:
-            stop.set()
-            thread.join()
-            sys.setswitchinterval(interval)
-        assert not torn, f"torn rates: {torn[:3]}"
-        assert counter.value == 20_000
