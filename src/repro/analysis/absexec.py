@@ -14,6 +14,11 @@ two classically-hard static analyses into exhaustive checks:
 - **WCET** — the trace's cycle total *is* the worst (and only) case, so
   the static bound is exact rather than padded.
 
+For the same reason the trace's per-instruction counts
+(``instruction_counts``) and branch statistics are those of every
+concrete run; :meth:`repro.mcu.profiler.Profiler.profile_blocks` prices
+each basic block from them, whatever engine ran the program.
+
 The executor's value domain is ``int`` (a known 32-bit value) or ``None``
 (unknown).  Flash reads resolve to the bytes actually placed at deploy
 time — without touching the regions' load/store accounting, which belongs
@@ -133,6 +138,8 @@ class AbstractTrace:
 
     cycles: int = 0
     steps: int = 0
+    #: How many times each instruction ran, indexed by instruction.
+    instruction_counts: list[int] = field(default_factory=list)
     halted: bool = False
     failure: ExecFailure | None = None
     accesses: dict[int, AccessRange] = field(default_factory=dict)
@@ -184,6 +191,7 @@ def abstract_execute(
     pc = 0
     instructions = program.instructions
     n = len(instructions)
+    counts = trace.instruction_counts = [0] * n
 
     def fail(index: int | None, reason: str) -> AbstractTrace:
         trace.failure = ExecFailure(index, reason)
@@ -201,6 +209,7 @@ def abstract_execute(
         op = instr.op
         ops = instr.operands
         trace.steps += 1
+        counts[pc] += 1
         taken = False
         next_pc = pc + 1
 

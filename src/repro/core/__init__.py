@@ -29,7 +29,6 @@ from repro.core.search import (
     best_deployable,
     evaluate_trained_mlp,
     random_mlp_configs,
-    run_mlp_search,
     smallest_matching,
 )
 from repro.core.tnn import tnn_config_from, train_tnn
@@ -63,7 +62,6 @@ __all__ = [
     "make_fixed_adjacency",
     "random_adjacency",
     "random_mlp_configs",
-    "run_mlp_search",
     "smallest_matching",
     "tnn_config_from",
     "train_mlp",

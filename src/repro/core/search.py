@@ -3,10 +3,10 @@
 The paper: "we perform an extensive random search over more than 50 MLP
 configurations by varying the numbers of layers, dropout rates, and
 whether batch normalization is employed."  :func:`random_mlp_configs`
-samples that space deterministically from a seed;
-:func:`run_mlp_search` trains each configuration and attaches deployment
-metrics (latency, program memory, deployability), yielding the point cloud
-of Figures 6a/6b and the pairing pool for Figures 6c/6d.
+samples that space deterministically from a seed, and
+:func:`evaluate_trained_mlp` attaches deployment metrics (latency,
+program memory, deployability) to each trained configuration, yielding
+the point cloud of Figures 6a/6b and the pairing pool for Figures 6c/6d.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.mlp import MLPConfig, TrainedMLP, train_mlp
-from repro.datasets.base import Dataset
+from repro.core.mlp import MLPConfig, TrainedMLP
 from repro.deploy.artifact import analytic_model_latency_ms
 from repro.deploy.size import model_program_memory
 from repro.errors import ConfigurationError
@@ -95,53 +94,6 @@ def evaluate_trained_mlp(
         deployable=memory.fits(board),
         trained=trained,
     )
-
-
-def _search_unit(
-    config: MLPConfig,
-    dataset: Dataset,
-    epochs: int,
-    board: BoardProfile,
-) -> SearchRecord:
-    """One baseline configuration as a (pool-transportable) work unit."""
-    return evaluate_trained_mlp(train_mlp(config, dataset, epochs=epochs),
-                                board)
-
-
-def run_mlp_search(
-    dataset: Dataset,
-    count: int = 50,
-    epochs: int = 25,
-    seed: int = 0,
-    board: BoardProfile = STM32F072RB,
-    jobs: int | None = None,
-) -> list[SearchRecord]:
-    """Train the sampled configurations and collect deployment metrics.
-
-    Fans out over :func:`repro.experiments.runner.map_units` (uncached
-    units — the dataset argument has no stable disk identity), so
-    ``jobs=1`` matches the old sequential loop byte for byte.
-    """
-    # Imported lazily: the experiments package's figure modules import
-    # this module back.
-    from repro.experiments import runner
-
-    configs = random_mlp_configs(
-        dataset.num_features, dataset.num_classes, count=count, seed=seed
-    )
-    units = [
-        runner.WorkUnit(
-            key=(
-                f"mlpsearch-{dataset.name}-c{count}-e{epochs}-s{seed}"
-                f"-{board.name}-{config.name}"
-            ),
-            fn=_search_unit,
-            args=(config, dataset, epochs, board),
-            cache=False,
-        )
-        for config in configs
-    ]
-    return runner.map_units("mlp-search", units, jobs=jobs)
 
 
 def smallest_matching(

@@ -395,48 +395,30 @@ class DeployedModel:
             latency_ms=self.timer.elapsed_ms(),
         )
 
-    def predict(
-        self, x_batch: np.ndarray, *, vectorized: bool = False
-    ) -> np.ndarray:
-        """Labels for a batch.
+    def predict(self, x_batch: np.ndarray) -> np.ndarray:
+        """Labels for a batch, each row run on the device.
 
-        By default each sample runs the full on-device path — cost is
-        one whole interpreted inference *per row*, so batch evaluation
-        scales linearly in batch size and interpreter speed.  With
-        ``vectorized=True`` the batch runs through the vectorized
-        reference backend instead, which is bit-identical to the device
-        kernels (the test suite enforces exact agreement) and orders of
-        magnitude faster for accuracy sweeps.
+        Rows run one inference each, or one fused call on tier 2.  The
+        reference backend, ``self.quantized.predict``, is bit-identical
+        (the test suite enforces exact agreement) and much faster for
+        accuracy sweeps that need no device costs.
         """
         x_batch = self._validate_input(x_batch, batch=True)
-        if vectorized:
-            return self.quantized.predict(x_batch)
         if len(x_batch) and self._fused_pipeline() is not None:
             return np.asarray(self._infer_rows(x_batch).labels)
         return np.array([self._infer_row(row).label for row in x_batch])
 
-    def accuracy(
-        self, x_batch: np.ndarray, y: np.ndarray, *,
-        vectorized: bool = False,
-    ) -> float:
-        predictions = self.predict(x_batch, vectorized=vectorized)
+    def accuracy(self, x_batch: np.ndarray, y: np.ndarray) -> float:
+        predictions = self.predict(x_batch)
         return float((predictions == np.asarray(y)).mean())
 
     # -- cost reporting -------------------------------------------------------
 
     def analytic_opcount(self) -> OpCount:
         """Operation counts summed over layers (no execution needed)."""
-        total = OpCount.block()
-        for spec in self.quantized.specs:
-            if spec.is_dense:
-                total += count_dense(spec)
-            else:
-                kwargs = (
-                    {"block_size": self.block_size}
-                    if self.format_name == "block" else {}
-                )
-                total += count_sparse(spec, self.format_name, **kwargs)
-        return total
+        return _model_opcount(
+            self.quantized, self.format_name, self.block_size
+        )
 
     def analytic_latency_ms(self) -> float:
         return self.board.cycles_to_ms(
@@ -454,6 +436,21 @@ class DeployedModel:
         )
 
 
+def _model_opcount(
+    quantized: QuantizedModel, format_name: str, block_size: int
+) -> OpCount:
+    """Every layer's analytic operation counts, summed."""
+    total = OpCount.block()
+    for spec in quantized.specs:
+        if spec.is_dense:
+            total += count_dense(spec)
+        else:
+            kwargs = {"block_size": block_size} if format_name == "block" \
+                else {}
+            total += count_sparse(spec, format_name, **kwargs)
+    return total
+
+
 def analytic_model_cycles(
     quantized: QuantizedModel,
     format_name: str = "block",
@@ -465,15 +462,9 @@ def analytic_model_cycles(
     The fast path for parameter sweeps: prices each layer's operation
     counts directly.
     """
-    total = OpCount.block()
-    for spec in quantized.specs:
-        if spec.is_dense:
-            total += count_dense(spec)
-        else:
-            kwargs = {"block_size": block_size} if format_name == "block" \
-                else {}
-            total += count_sparse(spec, format_name, **kwargs)
-    return total.cycles(board.costs)
+    return _model_opcount(quantized, format_name, block_size).cycles(
+        board.costs
+    )
 
 
 def analytic_model_latency_ms(

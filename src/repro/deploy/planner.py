@@ -102,6 +102,52 @@ class DeploymentPlan:
         return tuple(c for c in self.considered if c.feasible)
 
 
+def slo_rejection(
+    board: BoardProfile,
+    program_kb: float,
+    fits: bool,
+    cycles: int,
+    max_latency_ms: float | None,
+    max_flash_kb: float | None,
+    latency_slack: float = 1,
+) -> str:
+    """Why a candidate fails the SLO admission rules ("" when it passes).
+
+    The one rule the planner, the catalog planner and the search's
+    analytic screen share, checked in order: device flash over the
+    flash SLO, program over the board (``fits``), program over the
+    flash SLO, and cycles over ``latency_slack`` times the board's
+    *ceiling* cycle budget for the latency SLO.  Admission never
+    compares float milliseconds: a request priced exactly at the
+    deadline fits.
+    """
+    if max_flash_kb is not None and board.flash_kb > max_flash_kb:
+        return (
+            f"{board.name} carries {board.flash_kb} KB flash, over the "
+            f"{max_flash_kb:g} KB device budget"
+        )
+    if not fits:
+        return (
+            f"needs {program_kb:.1f} KB flash, "
+            f"{board.name} has {board.flash_kb} KB"
+        )
+    if max_flash_kb is not None and program_kb > max_flash_kb:
+        return (
+            f"program memory {program_kb:.1f} KB over the "
+            f"{max_flash_kb:g} KB SLO"
+        )
+    if max_latency_ms is None:
+        return ""
+    budget = board.ms_to_cycles(max_latency_ms)
+    if cycles <= latency_slack * budget:
+        return ""
+    slack = "" if latency_slack == 1 else f"{latency_slack:g}x "
+    return (
+        f"{cycles} cycles over {slack}the {budget}-cycle budget "
+        f"({max_latency_ms:g} ms on {board.name})"
+    )
+
+
 def _price(
     quantized: QuantizedModel,
     format_name: str,
@@ -116,43 +162,18 @@ def _price(
     cycles = analytic_model_cycles(
         quantized, format_name, board, block_size
     )
-    latency_ms = board.cycles_to_ms(cycles)
-    flash_kb = memory.total_kb
-
-    reason = ""
-    if slo.max_flash_kb is not None and board.flash_kb > slo.max_flash_kb:
-        reason = (
-            f"{board.name} carries {board.flash_kb} KB flash, over the "
-            f"{slo.max_flash_kb:g} KB device budget"
-        )
-    elif not memory.fits(board):
-        reason = (
-            f"needs {flash_kb:.1f} KB flash, "
-            f"{board.name} has {board.flash_kb} KB"
-        )
-    elif slo.max_flash_kb is not None and flash_kb > slo.max_flash_kb:
-        reason = (
-            f"program memory {flash_kb:.1f} KB over the "
-            f"{slo.max_flash_kb:g} KB SLO"
-        )
-    elif slo.max_latency_ms is not None and cycles > board.ms_to_cycles(
-        slo.max_latency_ms
-    ):
-        # Admission goes through the ceiling cycle budget, never a float
-        # ms comparison: a request priced exactly at the deadline fits.
-        reason = (
-            f"{cycles} cycles over the "
-            f"{board.ms_to_cycles(slo.max_latency_ms)}-cycle budget "
-            f"({slo.max_latency_ms:g} ms on {board.name})"
-        )
+    reason = slo_rejection(
+        board, memory.total_kb, memory.fits(board), cycles,
+        slo.max_latency_ms, slo.max_flash_kb,
+    )
     return PlanCandidate(
         format_name=format_name,
         board=board,
         engine=DEFAULT_ENGINE,
         block_size=block_size,
         cycles=cycles,
-        latency_ms=latency_ms,
-        flash_kb=flash_kb,
+        latency_ms=board.cycles_to_ms(cycles),
+        flash_kb=memory.total_kb,
         feasible=reason == "",
         reason=reason,
     )
@@ -302,34 +323,11 @@ def plan_from_catalog(
     considered = []
     for entry in entries:
         board = board_by_name(str(entry["board"]))
-        cycles = int(entry["cycles"])
         flash_kb = float(entry["flash_kb"])
-        reason = ""
-        if slo.max_flash_kb is not None and (
-            board.flash_kb > slo.max_flash_kb
-        ):
-            reason = (
-                f"{board.name} carries {board.flash_kb} KB flash, over "
-                f"the {slo.max_flash_kb:g} KB device budget"
-            )
-        elif flash_kb * 1024 > board.flash_bytes:
-            reason = (
-                f"needs {flash_kb:.1f} KB flash, "
-                f"{board.name} has {board.flash_kb} KB"
-            )
-        elif slo.max_flash_kb is not None and flash_kb > slo.max_flash_kb:
-            reason = (
-                f"program memory {flash_kb:.1f} KB over the "
-                f"{slo.max_flash_kb:g} KB SLO"
-            )
-        elif slo.max_latency_ms is not None and cycles > board.ms_to_cycles(
-            slo.max_latency_ms
-        ):
-            reason = (
-                f"{cycles} cycles over the "
-                f"{board.ms_to_cycles(slo.max_latency_ms)}-cycle budget "
-                f"({slo.max_latency_ms:g} ms on {board.name})"
-            )
+        reason = slo_rejection(
+            board, flash_kb, flash_kb * 1024 <= board.flash_bytes,
+            int(entry["cycles"]), slo.max_latency_ms, slo.max_flash_kb,
+        )
         considered.append(CatalogCandidate(
             entry=dict(entry), board=board,
             feasible=reason == "", reason=reason,

@@ -19,8 +19,8 @@ one Python function per program:
 - each block's cycle total is precomputed, so cycle accounting is one
   integer add per *block* instead of a ``cost_of`` call per instruction
   (conditional blocks carry a taken/not-taken pair),
-- per-block execution counters make instruction counts, per-op counts,
-  and per-block cycle attribution exact reconstructions after the run.
+- per-block execution counters make per-op counts an exact
+  reconstruction after the run.
 
 The function is ``compile()``d once and cached globally, keyed by the
 program content, cycle-cost table, and memory layout, so fleet replicas
@@ -89,22 +89,21 @@ _BRANCH_COND = {
 
 @dataclass(frozen=True)
 class TranslatedProgram:
-    """One compiled program plus the metadata that keeps it exact."""
+    """One compiled program plus what rebuilds its op counts.
+
+    ``fn(memory, regs, max_instructions, bc)`` runs the program and
+    leaves each block's execution count in ``bc``; :meth:`fold_op_counts`
+    turns those counts into the interpreter's ``op_counts``.  Per-block
+    cycle attribution does not read them: it comes from the verifier's
+    abstract trace (:meth:`repro.mcu.profiler.Profiler.profile_blocks`).
+    """
 
     program: Program
     fn: Callable
     source: str
     n_blocks: int
-    #: Inclusive (start, end) instruction indices per block.
-    block_spans: tuple[tuple[int, int], ...]
-    block_lens: tuple[int, ...]
     #: Per-block (op, count) pairs for op_counts reconstruction.
     block_ops: tuple[tuple[tuple[Op, int], ...], ...]
-    #: Cycle total of one block execution when its branch is not taken
-    #: (== the only total for non-branch blocks).
-    block_cost_not: tuple[int, ...]
-    #: Cycle total when the terminating branch is taken.
-    block_cost_taken: tuple[int, ...]
 
     def __deepcopy__(self, memo: dict) -> "TranslatedProgram":
         # Translations are immutable and content-addressed; fleet
@@ -120,29 +119,6 @@ class TranslatedProgram:
                 for op, n in ops:
                     counts[op] = counts.get(op, 0) + n * hits
         return counts
-
-    def block_cycles(
-        self, block_counts: list[int], taken_counts: list[int]
-    ) -> list[int]:
-        """Per-block cycle totals implied by recorded execution counts.
-
-        Sums to the run's total ``cycles`` exactly (asserted by the
-        profiler tests): unconditional ``B`` terminators always pay the
-        taken cost, conditional blocks split per the taken counter.
-        """
-        totals: list[int] = []
-        for k in range(self.n_blocks):
-            hits = block_counts[k]
-            terminator = self.program.instructions[self.block_spans[k][1]].op
-            if terminator is Op.B:
-                totals.append(hits * self.block_cost_taken[k])
-            else:
-                taken = taken_counts[k]
-                totals.append(
-                    (hits - taken) * self.block_cost_not[k]
-                    + taken * self.block_cost_taken[k]
-                )
-        return totals
 
 
 # -- code generation ------------------------------------------------------
@@ -358,9 +334,6 @@ def _build_translation(
     chain = sorted(blocks, key=lambda b: (-depth[b.id], b.id))
 
     instrs = program.instructions
-    spans = tuple((b.start, b.end) for b in blocks)
-    lens = tuple(b.end - b.start + 1 for b in blocks)
-    cost_pairs = [_block_costs(program, span, costs) for span in spans]
     block_ops = []
     for b in blocks:
         ops_count: dict[Op, int] = {}
@@ -374,7 +347,7 @@ def _build_translation(
     )
 
     out = _Emitter()
-    out.emit(0, "def _fastpath(memory, regs, _max, _bc, _tk):")
+    out.emit(0, "def _fastpath(memory, regs, _max, _bc):")
     out.emit(1, "_rgn = memory.regions")
     for j, _, _, _ in regions:
         out.emit(1, f"_d{j} = _rgn[{j}].data")
@@ -386,8 +359,6 @@ def _build_translation(
     out.emit(1, "ex = 0")
     for b in blocks:
         out.emit(1, f"bc{b.id} = 0")
-        if instrs[b.end].op in _BRANCH_COND:
-            out.emit(1, f"tk{b.id} = 0")
     out.emit(1, "try:")
 
     single = len(blocks) == 1 and instrs[blocks[0].end].op is Op.HALT
@@ -413,13 +384,15 @@ def _build_translation(
                 out.emit(3, f"elif _b == {k}:")
         ind = body_ind
         out.emit(ind, f"bc{k} += 1")
-        out.emit(ind, f"ex += {lens[k]}")
+        out.emit(ind, f"ex += {block.end - block.start + 1}")
         out.emit(ind, "if ex > _max:")
         out.emit(ind + 1, f"raise ExecutionError({exceeded_fmt!r} % _max)")
         last = instrs[block.end]
         for i in range(block.start, block.end):
             _emit_instr(out, ind, instrs[i], regions)
-        cost_not, cost_taken = cost_pairs[k]
+        cost_not, cost_taken = _block_costs(
+            program, (block.start, block.end), costs
+        )
         if last.op is Op.HALT:
             out.emit(ind, f"cy += {cost_not}")
             out.emit(ind, ret)
@@ -432,7 +405,6 @@ def _build_translation(
             fall_block = cfg.block_of[block.end + 1]
             out.emit(ind, f"if {_BRANCH_COND[last.op]}:")
             out.emit(ind + 1, f"cy += {cost_taken}")
-            out.emit(ind + 1, f"tk{k} += 1")
             out.emit(ind + 1, f"_b = {taken_block}")
             out.emit(ind, "else:")
             out.emit(ind + 1, f"cy += {cost_not}")
@@ -452,8 +424,6 @@ def _build_translation(
         out.emit(2, f"_rg.bytes_stored += _sb{j}")
     for b in blocks:
         out.emit(2, f"_bc[{b.id}] = bc{b.id}")
-        if instrs[b.end].op in _BRANCH_COND:
-            out.emit(2, f"_tk[{b.id}] = tk{b.id}")
 
     source = out.source()
     namespace: dict = {"ExecutionError": ExecutionError}
@@ -464,11 +434,7 @@ def _build_translation(
         fn=namespace["_fastpath"],
         source=source,
         n_blocks=len(blocks),
-        block_spans=spans,
-        block_lens=lens,
         block_ops=tuple(block_ops),
-        block_cost_not=tuple(p[0] for p in cost_pairs),
-        block_cost_taken=tuple(p[1] for p in cost_pairs),
     )
 
 
@@ -478,8 +444,9 @@ def _build_translation(
 # keys additionally carry a SHA-256 of the read-only region content,
 # because a specialization folds those bytes into its code: same
 # program + layout with different flash words must never share an
-# entry.
+# entry.  An entry is the compiled program or its decline reason.
 
+_TIERS = ("v1", "v2")
 _CACHE: dict = {}  # guarded_by: _CACHE_LOCK
 _CACHE_LOCK = threading.Lock()
 _STATS = {  # guarded_by: _CACHE_LOCK
@@ -492,17 +459,47 @@ def _layout_of(memory: MemoryMap) -> tuple[tuple[int, int, bool], ...]:
     return tuple((r.base, r.size, r.writable) for r in memory.regions)
 
 
-def _cache_key(program: Program, costs: CycleCosts, layout) -> tuple:
-    return ("v1", program.name, program.instructions, costs, layout)
-
-
-def _cache_key_v2(
-    program: Program, costs: CycleCosts, layout, content_hash: str
+def _cache_key(
+    tier: str, program: Program, costs: CycleCosts, memory: MemoryMap
 ) -> tuple:
-    return (
-        "v2", program.name, program.instructions, costs, layout,
-        content_hash,
-    )
+    key = (tier, program.name, program.instructions, costs,
+           _layout_of(memory))
+    if tier == "v2":
+        from repro.mcu import fastpath_v2
+
+        key += (fastpath_v2.specialization_hash(memory),)
+    return key
+
+
+def _compiled(
+    tier: str,
+    program: Program,
+    memory: MemoryMap,
+    costs: CycleCosts | None,
+):
+    """``tier``'s compiled ``program``, or its decline reason (cached).
+
+    Builds on a miss and counts hits, misses and declines per tier.
+    """
+    costs = costs or CycleCosts()
+    key = _cache_key(tier, program, costs, memory)
+    with _CACHE_LOCK:
+        entry = _CACHE.get(key)
+        if entry is not None:
+            _STATS[tier]["hits"] += 1
+            return entry
+    if tier == "v1":
+        built = _build_translation(program, costs, _layout_of(memory))
+    else:
+        from repro.mcu import fastpath_v2
+
+        built = fastpath_v2.build_specialization(program, memory, costs)
+    with _CACHE_LOCK:
+        entry = _CACHE.setdefault(key, built)
+        _STATS[tier]["misses"] += 1
+        if isinstance(entry, str):
+            _STATS[tier]["declined"] += 1
+    return entry
 
 
 def translate(
@@ -516,22 +513,8 @@ def translate(
     (e.g. fleet replicas deep-copied from one registered artifact) with
     the same cost table and memory layout compile exactly once.
     """
-    costs = costs or CycleCosts()
-    layout = _layout_of(memory)
-    key = _cache_key(program, costs, layout)
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
-        if entry is not None:
-            _STATS["v1"]["hits"] += 1
-            return entry if isinstance(entry, TranslatedProgram) else None
-    built = _build_translation(program, costs, layout)
-    with _CACHE_LOCK:
-        entry = _CACHE.setdefault(key, built)
-        _STATS["v1"]["misses"] += 1
-        if not isinstance(entry, TranslatedProgram):
-            _STATS["v1"]["declined"] += 1
-            return None
-    return entry
+    entry = _compiled("v1", program, memory, costs)
+    return None if isinstance(entry, str) else entry
 
 
 def translate_v2(
@@ -547,27 +530,8 @@ def translate_v2(
     address depends on writable-memory data or the trace leaves the
     program.
     """
-    from repro.mcu import fastpath_v2
-
-    costs = costs or CycleCosts()
-    layout = _layout_of(memory)
-    content_hash = fastpath_v2.specialization_hash(memory)
-    key = _cache_key_v2(program, costs, layout, content_hash)
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
-        if entry is not None:
-            _STATS["v2"]["hits"] += 1
-            if isinstance(entry, fastpath_v2.SpecializedProgram):
-                return entry
-            return None
-    built = fastpath_v2.build_specialization(program, memory, costs)
-    with _CACHE_LOCK:
-        entry = _CACHE.setdefault(key, built)
-        _STATS["v2"]["misses"] += 1
-        if not isinstance(entry, fastpath_v2.SpecializedProgram):
-            _STATS["v2"]["declined"] += 1
-            return None
-    return entry
+    entry = _compiled("v2", program, memory, costs)
+    return None if isinstance(entry, str) else entry
 
 
 def why_declined(
@@ -576,11 +540,7 @@ def why_declined(
     costs: CycleCosts | None = None,
 ) -> str | None:
     """The decline reason for ``program``, or ``None`` if it translates."""
-    if translate(program, memory, costs) is not None:
-        return None
-    key = _cache_key(program, costs or CycleCosts(), _layout_of(memory))
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
+    entry = _compiled("v1", program, memory, costs)
     return entry if isinstance(entry, str) else None
 
 
@@ -590,18 +550,7 @@ def why_declined_v2(
     costs: CycleCosts | None = None,
 ) -> str | None:
     """Tier-2 decline reason, or ``None`` if it specializes."""
-    if translate_v2(program, memory, costs) is not None:
-        return None
-    from repro.mcu import fastpath_v2
-
-    key = _cache_key_v2(
-        program,
-        costs or CycleCosts(),
-        _layout_of(memory),
-        fastpath_v2.specialization_hash(memory),
-    )
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
+    entry = _compiled("v2", program, memory, costs)
     return entry if isinstance(entry, str) else None
 
 
@@ -613,20 +562,18 @@ def translation_cache_stats() -> dict:
     ``"v1"`` and ``"v2"`` carry the same four keys per tier.
     """
     with _CACHE_LOCK:
-        v1_entries = sum(1 for key in _CACHE if key[0] == "v1")
         tiers = {
-            "v1": {"entries": v1_entries, **_STATS["v1"]},
-            "v2": {"entries": len(_CACHE) - v1_entries, **_STATS["v2"]},
+            tier: {
+                "entries": sum(1 for key in _CACHE if key[0] == tier),
+                **_STATS[tier],
+            }
+            for tier in _TIERS
         }
-        return {
-            "entries": len(_CACHE),
-            "hits": _STATS["v1"]["hits"] + _STATS["v2"]["hits"],
-            "misses": _STATS["v1"]["misses"] + _STATS["v2"]["misses"],
-            "declined": (
-                _STATS["v1"]["declined"] + _STATS["v2"]["declined"]
-            ),
-            **tiers,
-        }
+    totals = {
+        name: sum(counts[name] for counts in tiers.values())
+        for name in ("entries", "hits", "misses", "declined")
+    }
+    return {**totals, **tiers}
 
 
 def evict_translation(
@@ -643,18 +590,11 @@ def evict_translation(
     specialization keeps running (the object stays alive through
     its own reference); only the shared cache forgets it.
     """
-    from repro.mcu import fastpath_v2
-
     costs = costs or CycleCosts()
-    layout = _layout_of(memory)
-    key = _cache_key(program, costs, layout)
-    key_v2 = _cache_key_v2(
-        program, costs, layout, fastpath_v2.specialization_hash(memory)
-    )
+    keys = [_cache_key(tier, program, costs, memory) for tier in _TIERS]
     with _CACHE_LOCK:
-        dropped_v1 = _CACHE.pop(key, None) is not None
-        dropped_v2 = _CACHE.pop(key_v2, None) is not None
-    return dropped_v1 or dropped_v2
+        dropped = [_CACHE.pop(key, None) is not None for key in keys]
+    return any(dropped)
 
 
 def clear_translation_cache() -> None:
@@ -669,11 +609,13 @@ def clear_translation_cache() -> None:
 
 
 class FastCPU:
-    """Drop-in :class:`~repro.mcu.cpu.CPU` running translated programs.
+    """Drop-in :class:`~repro.mcu.cpu.CPU` running tier-1 translations.
 
     Programs the translator declines run on an embedded interpreter
     fallback; ``last_engine`` records which engine served the last
     ``run()`` so tests can prove the fast path was actually exercised.
+    No other per-run state is kept: per-block cycle attribution reads
+    the verifier's abstract trace and works on every engine.
     """
 
     def __init__(
@@ -690,9 +632,6 @@ class FastCPU:
         #: reference keeps the id stable for the cache's lifetime.
         self._translations: dict[int, tuple] = {}
         self.last_engine: str | None = None
-        self.last_translation: TranslatedProgram | None = None
-        self.last_block_counts: list[int] | None = None
-        self.last_taken_counts: list[int] | None = None
 
     def translation(self, program: Program) -> TranslatedProgram | None:
         entry = self._translations.get(id(program))
@@ -709,21 +648,14 @@ class FastCPU:
         tp = self.translation(program)
         if tp is None:
             self.last_engine = "interpreter"
-            self.last_translation = None
-            self.last_block_counts = None
-            self.last_taken_counts = None
             return self._interpreter.run(program, registers)
         regs = [0] * NUM_REGS
         for r, value in (registers or {}).items():
             regs[r] = int(value) & _MASK32
         bc = [0] * tp.n_blocks
-        tk = [0] * tp.n_blocks
         self.last_engine = "fastpath"
-        self.last_translation = tp
-        self.last_block_counts = bc
-        self.last_taken_counts = tk
         cycles, executed, out_regs = tp.fn(
-            self.memory, regs, self.max_instructions, bc, tk
+            self.memory, regs, self.max_instructions, bc
         )
         return ExecutionResult(
             cycles, executed, out_regs, tp.fold_op_counts(bc)

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError, ExecutionError
 from repro.mcu.board import BoardProfile
 from repro.mcu.cpu import ExecutionResult
-from repro.mcu.fastpath import (
-    DEFAULT_ENGINE,
-    FastCPU,
-    SpecializedCPU,
-    make_cpu,
-)
-from repro.mcu.isa import Program, Reg
+from repro.mcu.fastpath import DEFAULT_ENGINE, SpecializedCPU, make_cpu
+from repro.mcu.isa import Op, Program, Reg
 from repro.mcu.memory import MemoryMap
 from repro.mcu.timer import Tim2
 
@@ -176,38 +171,49 @@ class Profiler:
         )
 
     def profile_blocks(
-        self, program: Program, registers: dict[Reg, int] | None = None
+        self, program: Program
     ) -> tuple[ExecutionResult, tuple[BlockProfile, ...]]:
         """Run once and attribute the cycle total to each basic block.
 
-        Requires the ``fastpath`` engine (the attribution comes from the
-        translation's per-block execution counters); the per-block cycle
-        totals sum exactly to ``result.cycles``.
+        Works on every engine.  The run gives the result; the counts
+        come from the verifier's abstract trace, which covers every run
+        of a program with input-independent control flow (§4.1), so
+        the per-block cycle totals sum exactly to ``result.cycles``.
+        A program whose trace fails (e.g. data-dependent control flow)
+        has no single path and raises :class:`ConfigurationError`.
         """
-        if not isinstance(self.cpu, FastCPU):
+        # Imported here: repro.analysis imports the mcu package back.
+        from repro.analysis.absexec import abstract_execute
+        from repro.analysis.cfg import build_cfg
+
+        result = self.run_once(program)
+        costs = self.board.costs
+        trace = abstract_execute(program, self.memory, costs)
+        if trace.failure is not None:
             raise ConfigurationError(
-                "per-block cycle attribution requires engine='fastpath' "
-                f"(profiler was built with engine={self.engine!r})"
+                f"program {program.name!r} has no per-block attribution: "
+                f"{trace.failure}"
             )
-        result = self.run_once(program, registers)
-        translation = self.cpu.last_translation
-        if translation is None:
-            raise ConfigurationError(
-                f"program {program.name!r} was declined by the translator; "
-                "no per-block attribution is available"
+        counts = trace.instruction_counts
+        instrs = program.instructions
+        profiles = []
+        for block in build_cfg(program).blocks:
+            runs = counts[block.start]
+            last = instrs[block.end].op
+            stats = trace.branches.get(block.end)
+            taken = stats.taken if stats is not None else 0
+            body = sum(
+                costs.cost_of(instrs[i].op)
+                for i in range(block.start, block.end)
             )
-        block_counts = self.cpu.last_block_counts
-        taken_counts = self.cpu.last_taken_counts
-        cycles = translation.block_cycles(block_counts, taken_counts)
-        profiles = tuple(
-            BlockProfile(
-                block_id=k,
-                start=translation.block_spans[k][0],
-                end=translation.block_spans[k][1],
-                executions=block_counts[k],
-                taken=taken_counts[k],
-                cycles=cycles[k],
-            )
-            for k in range(translation.n_blocks)
-        )
-        return result, profiles
+            profiles.append(BlockProfile(
+                block_id=block.id,
+                start=block.start,
+                end=block.end,
+                executions=runs,
+                taken=0 if last is Op.B else taken,
+                cycles=runs * body
+                + (runs - taken) * costs.cost_of(last)
+                + taken * costs.cost_of(last, taken=True),
+            ))
+        return result, tuple(profiles)

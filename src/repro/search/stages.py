@@ -31,6 +31,7 @@ from repro.core.neuroc import build_neuroc, train_neuroc
 from repro.datasets import load
 from repro.deploy.artifact import analytic_model_cycles
 from repro.deploy.deployer import deploy
+from repro.deploy.planner import slo_rejection
 from repro.deploy.size import model_program_memory
 from repro.errors import QuantizationError, ReproError
 from repro.kernels.spec import make_neuroc_spec
@@ -135,39 +136,16 @@ def analytic_screen(
         specs=specs, input_scale=1.0, act_width=spec.act_width
     )
     cycles = analytic_model_cycles(pseudo, spec.encoding, board)
-    flash_kb = memory.total_kb
-
-    reason = ""
-    if max_flash_kb is not None and board.flash_kb > max_flash_kb:
-        reason = (
-            f"{board.name} carries {board.flash_kb} KB flash, over the "
-            f"{max_flash_kb:g} KB device budget"
-        )
-    elif not memory.fits(board):
-        reason = (
-            f"needs {flash_kb:.1f} KB flash, "
-            f"{board.name} has {board.flash_kb} KB"
-        )
-    elif max_flash_kb is not None and flash_kb > max_flash_kb:
-        reason = (
-            f"program memory {flash_kb:.1f} KB over the "
-            f"{max_flash_kb:g} KB SLO"
-        )
-    elif max_latency_ms is not None and cycles > STAGE1_LATENCY_SLACK * (
-        board.ms_to_cycles(max_latency_ms)
-    ):
-        reason = (
-            f"{cycles} analytic cycles over "
-            f"{STAGE1_LATENCY_SLACK:g}x the "
-            f"{board.ms_to_cycles(max_latency_ms)}-cycle budget "
-            f"({max_latency_ms:g} ms on {board.name})"
-        )
+    reason = slo_rejection(
+        board, memory.total_kb, memory.fits(board), cycles,
+        max_latency_ms, max_flash_kb, STAGE1_LATENCY_SLACK,
+    )
     return {
         "key": spec.key,
         "board": board.name,
         "cycles": int(cycles),
         "latency_ms": board.cycles_to_ms(int(cycles)),
-        "flash_kb": flash_kb,
+        "flash_kb": memory.total_kb,
         "admitted": reason == "",
         "reason": reason,
     }

@@ -23,6 +23,7 @@ from repro.errors import (
 from repro.mcu.board import BOARD_PROFILES, STM32F072RB
 from repro.mcu.cpu import CPU, CycleCosts
 from repro.mcu.fastpath import (
+    DEFAULT_ENGINE,
     ENGINES,
     FastCPU,
     clear_translation_cache,
@@ -32,7 +33,7 @@ from repro.mcu.fastpath import (
     translation_cache_stats,
     why_declined,
 )
-from repro.mcu.isa import Assembler, Instr, Op, Program, Reg
+from repro.mcu.isa import NUM_REGS, Assembler, Instr, Op, Program, Reg
 from repro.mcu.memory import MemoryMap
 from repro.mcu.profiler import Profiler
 
@@ -409,7 +410,7 @@ class TestFallback:
         cpu = FastCPU(memory)
         result = cpu.run(program)
         assert cpu.last_engine == "interpreter"
-        assert cpu.last_translation is None
+        assert cpu.translation(program) is None
         assert result.instructions == 60_002
         reason = why_declined(program, memory)
         assert reason is not None and "translation cap" in reason
@@ -460,7 +461,12 @@ class TestTranslationCache:
         default = translate(program, memory)
         wait_states = translate(program, memory, CycleCosts(fetch_extra=1))
         assert default is not wait_states
-        assert default.block_cost_not != wait_states.block_cost_not
+        charged = [
+            tp.fn(memory, [0] * NUM_REGS, 10, [0] * tp.n_blocks)[0]
+            for tp in (default, wait_states)
+        ]
+        # One extra fetch cycle for each of the two instructions.
+        assert charged[1] == charged[0] + 2
 
     def test_cost_tables_distinct_entries_in_both_tiers(self):
         """ISSUE-9 satellite: one program under two cost tables must
@@ -559,6 +565,14 @@ class TestRegisterCopySemantics:
 
 
 class TestBlockAttribution:
+    """Per-block attribution from the abstract trace, on ``FUZZ_BOARD``
+    (CI sweeps all four profiles via REPRO_FUZZ_BOARD): each board's
+    cost table prices the trace's blocks, checked against every
+    engine's measured cycles."""
+
+    def _profiler(self, engine=DEFAULT_ENGINE):
+        return Profiler(FUZZ_BOARD, FUZZ_BOARD.make_memory(), engine=engine)
+
     def _loop_program(self):
         asm = Assembler("attr")
         asm.movi(Reg.R0, 0)
@@ -572,8 +586,7 @@ class TestBlockAttribution:
 
     def test_block_cycles_sum_to_total(self):
         program = self._loop_program()
-        profiler = Profiler(STM32F072RB, STM32F072RB.make_memory())
-        result, blocks = profiler.profile_blocks(program)
+        result, blocks = self._profiler().profile_blocks(program)
         assert sum(b.cycles for b in blocks) == result.cycles
         assert sum(b.executions * (b.end - b.start + 1) for b in blocks) \
             == result.instructions
@@ -583,20 +596,33 @@ class TestBlockAttribution:
         assert by_id[1].taken == 5          # back edge taken 5 of 6 times
         assert by_id[2].executions == 1     # halt block
 
-    def test_attribution_requires_fastpath_engine(self):
-        profiler = Profiler(
-            STM32F072RB, STM32F072RB.make_memory(), engine="interpreter"
-        )
-        with pytest.raises(ConfigurationError, match="fastpath"):
-            profiler.profile_blocks(self._loop_program())
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_attribution_on_every_engine(self, engine):
+        profiler = self._profiler(engine)
+        result, blocks = profiler.profile_blocks(self._loop_program())
+        assert sum(b.cycles for b in blocks) == result.cycles
+        assert [b.executions for b in blocks] == [1, 6, 1]
+
+    def test_data_dependent_program_has_no_attribution(self):
+        # The loop bound is read from RAM: every input takes its own
+        # path, so no single trace covers the program.
+        asm = Assembler("input-bound")
+        asm.movi(Reg.R7, FUZZ_BOARD.ram_base)
+        asm.ldrb(Reg.R1, Reg.R7, 0)
+        asm.label("top")
+        asm.subsi(Reg.R1, Reg.R1, 1)
+        asm.bgt("top")
+        asm.halt()
+        with pytest.raises(
+            ConfigurationError, match="data-dependent control flow"
+        ):
+            self._profiler().profile_blocks(asm.assemble())
 
     def test_profiler_engines_agree_on_latency(self):
         program = self._loop_program()
-        reports = {}
-        for engine in ENGINES:
-            profiler = Profiler(
-                STM32F072RB, STM32F072RB.make_memory(), engine=engine
-            )
-            reports[engine] = profiler.measure(program, runs=3)
+        reports = {
+            engine: self._profiler(engine).measure(program, runs=3)
+            for engine in ENGINES
+        }
         assert reports["fastpath"] == reports["interpreter"]
         assert reports["fastpath"].deterministic
