@@ -8,10 +8,12 @@ the cycle-counting CPU.
 
 Latency is available two ways — measured (cycle-exact execution) and
 analytical (operation counts) — and the two always agree; tests enforce
-it.  Execution uses the basic-block translating engine by default
-(``engine="fastpath"``); pass ``engine="interpreter"`` for the reference
-interpreter — both produce identical registers, memory, and cycle counts
-(see :mod:`repro.mcu.fastpath`).
+it.  Execution uses the content-specialized tier-2 engine by default
+(``engine="fastpath-v2"``, which also fuses batches); pass
+``engine="fastpath"`` for the tier-1 translating engine or
+``engine="interpreter"`` for the reference interpreter — all produce
+identical registers, memory, and cycle counts (see
+:mod:`repro.mcu.fastpath`).
 """
 
 from __future__ import annotations

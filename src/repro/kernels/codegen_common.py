@@ -76,9 +76,10 @@ class KernelImage:
     ) -> ExecutionResult:
         """Execute once on a fresh engine bound to this image's memory.
 
-        ``engine="fastpath"`` (default) runs the basic-block translating
-        engine; ``engine="interpreter"`` forces the reference CPU (see
-        :mod:`repro.mcu.fastpath` for the bit-exactness contract).
+        ``engine="fastpath-v2"`` (default) runs the content-specialized
+        engine, ``engine="fastpath"`` the basic-block translating
+        engine, and ``engine="interpreter"`` forces the reference CPU
+        (see :mod:`repro.mcu.fastpath` for the bit-exactness contract).
         """
         return make_cpu(
             self.memory, costs=board.costs, engine=engine

@@ -109,9 +109,9 @@ class BoardProfile:
     ):
         """An execution engine priced with this board's cost table.
 
-        ``engine`` is ``"fastpath"`` (translating engine, the default),
-        ``"fastpath-v2"`` (content-specialized), or ``"interpreter"``
-        (the reference :class:`~repro.mcu.cpu.CPU`); see
+        ``engine`` is ``"fastpath-v2"`` (content-specialized, the
+        default), ``"fastpath"`` (tier-1 translating engine), or
+        ``"interpreter"`` (the reference :class:`~repro.mcu.cpu.CPU`); see
         :mod:`repro.mcu.fastpath` for the exactness contract.  Every
         board hosts every engine: they are host-side and bit-identical,
         so no simulated capability selects among them.

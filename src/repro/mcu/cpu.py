@@ -151,6 +151,7 @@ class CPU:
         op_index = _OP_INDEX
         plain_cost, taken_cost = _cost_vectors(self.costs)
         instructions = program.instructions
+        n_instructions = len(instructions)
         memory = self.memory
 
         while True:
@@ -159,12 +160,13 @@ class CPU:
                     f"program {program.name!r} exceeded "
                     f"{self.max_instructions} instructions"
                 )
-            try:
-                instr = instructions[pc]
-            except IndexError:
+            if not 0 <= pc < n_instructions:
+                # Checked explicitly: a negative pc would index from the
+                # end of the program instead of failing.
                 raise ExecutionError(
                     f"pc {pc} out of range in {program.name!r}"
-                ) from None
+                )
+            instr = instructions[pc]
             executed += 1
             op = instr.op
             op_ordinal = op_index[op]

@@ -68,7 +68,7 @@ _MASK32 = 0xFFFF_FFFF
 #: ``"fastpath"`` runs tier 1; each falls back to the interpreter.
 ENGINES = ("fastpath", "fastpath-v2", "interpreter")
 #: Engine used when callers do not choose one explicitly.
-DEFAULT_ENGINE = "fastpath"
+DEFAULT_ENGINE = "fastpath-v2"
 
 #: Programs above this size are declined (compiling megabyte source
 #: strings costs more than it saves); the interpreter handles them.

@@ -70,7 +70,7 @@ from repro.mcu.cpu import (
 )
 from repro.mcu.isa import (
     ACCESS_WIDTH,
-    BRANCH_OPS,
+    COND_BRANCH_OPS,
     LOAD_OPS,
     NUM_REGS,
     SIGNED_LOADS,
@@ -255,18 +255,19 @@ def _accumulate(terms: dict, nid: int, coef: int) -> None:
 
 
 def _v_add(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return (a + b) & _MASK32
-    base = 0
-    terms: dict = {}
-    for value in (a, b):
-        if isinstance(value, int):
-            base += value
-            continue
-        base += value.base
-        for nid, coef in value.terms.items():
-            _accumulate(terms, nid, coef)
-    return _mk(base, terms)
+    if isinstance(a, int):
+        if isinstance(b, int):
+            return (a + b) & _MASK32
+        # Terms are never mutated once a _Sym holds them: share them.
+        return _Sym(a + b.base, b.terms)
+    if isinstance(b, int):
+        return _Sym(a.base + b, a.terms)
+    if len(a.terms) < len(b.terms):
+        a, b = b, a
+    terms = dict(a.terms)
+    for nid, coef in b.terms.items():
+        _accumulate(terms, nid, coef)
+    return _mk(a.base + b.base, terms)
 
 
 def _v_scale(a, c: int):
@@ -349,6 +350,78 @@ def _v_bitop(dag: _Dag, opname: str, a, b):
 
 # -- the specializer -------------------------------------------------------
 
+#: Trace-loop instruction kinds, the first field of a decoded
+#: instruction, in the loop's test order (most executed first).
+#: ``SUBI`` decodes as ``ADDI`` of the negated immediate.
+(
+    _K_MEM, _K_ADDI, _K_BCOND, _K_SUBSI, _K_ADD, _K_SUB, _K_CMP, _K_CMPI,
+    _K_MOVI, _K_MOV, _K_SHIFT, _K_MUL, _K_BITOP, _K_B, _K_HALT,
+) = range(15)
+
+_SHIFT_NAMES = {Op.LSLI: "shl", Op.LSRI: "shr", Op.ASRI: "sar"}
+_BITOP_NAMES = {Op.AND: "and", Op.ORR: "or", Op.EOR: "xor"}
+_KINDS = {
+    **dict.fromkeys(LOAD_OPS | STORE_OPS, _K_MEM),
+    **dict.fromkeys(COND_BRANCH_OPS, _K_BCOND),
+    **dict.fromkeys(_SHIFT_NAMES, _K_SHIFT),
+    **dict.fromkeys(_BITOP_NAMES, _K_BITOP),
+    Op.ADDI: _K_ADDI, Op.SUBI: _K_ADDI, Op.SUBSI: _K_SUBSI, Op.ADD: _K_ADD,
+    Op.SUB: _K_SUB, Op.CMP: _K_CMP, Op.CMPI: _K_CMPI, Op.MOVI: _K_MOVI,
+    Op.MOV: _K_MOV, Op.MUL: _K_MUL, Op.B: _K_B, Op.HALT: _K_HALT,
+}
+#: Every NZV flag tuple ``subtract_flags`` can return.
+_FLAG_STATES = tuple(
+    (n, z, v) for n in (False, True) for z in (False, True)
+    for v in (False, True)
+)
+
+
+def _decode(program: Program, costs: CycleCosts) -> list[tuple]:
+    """Per pc, ``(kind, op ordinal, a, b, c, plain cost, taken cost,
+    extra)``.
+
+    ``a``/``b``/``c`` are the operands as plain ints, immediates masked
+    the way the interpreter masks them (the flag-setting compares keep
+    theirs signed); the costs are ``CPU.run``'s.  ``extra`` carries
+    what the loop would otherwise look up per execution: a memory op's
+    ``(width, is_load, signed, offset_is_reg)``, a conditional branch's
+    taken decision per flag tuple, a shift's or bit op's name.
+    """
+    plain_cost, taken_cost = _cost_vectors(costs)
+    code = []
+    for instr in program.instructions:
+        op = instr.op
+        ordinal = _OP_INDEX[op]
+        kind = _KINDS[op]
+        a, b, c = (*(int(o) for o in instr.operands), None, None, None)[:3]
+        extra = None
+        if kind == _K_MEM:
+            if not instr.offset_is_reg:
+                c &= _MASK32
+            extra = (
+                ACCESS_WIDTH[op], op in LOAD_OPS, op in SIGNED_LOADS,
+                instr.offset_is_reg,
+            )
+        elif kind == _K_BCOND:
+            extra = {
+                flags: _branch_taken(op, *flags) for flags in _FLAG_STATES
+            }
+        elif kind == _K_SHIFT:
+            extra = _SHIFT_NAMES[op]
+        elif kind == _K_BITOP:
+            extra = _BITOP_NAMES[op]
+        elif op is Op.ADDI:
+            c &= _MASK32
+        elif op is Op.SUBI:
+            c = -c & _MASK32
+        elif kind == _K_MOVI:
+            b &= _MASK32
+        code.append(
+            (kind, ordinal, a, b, c, plain_cost[ordinal],
+             taken_cost[ordinal], extra)
+        )
+    return code
+
 
 class _Specializer:
     def __init__(
@@ -362,6 +435,9 @@ class _Specializer:
         self.costs = costs
         self.dag = _Dag()
         self.regions = memory.regions
+        self.bounds = [(r.base, r.base + r.size) for r in self.regions]
+        #: Per pc, the region its last access hit, tried first next time.
+        self.last_region = [0] * len(program.instructions)
         #: Per-region offset -> int byte | ("n", byte_node_id).
         self.overlay: list[dict] = [{} for _ in self.regions]
         self.rbw: set = set()
@@ -371,9 +447,12 @@ class _Specializer:
     # -- trace ------------------------------------------------------------
 
     def run(self) -> SpecializedProgram:
-        instrs = self.program.instructions
         # Priced per executed instruction exactly like CPU.run.
-        plain_cost, taken_cost = _cost_vectors(self.costs)
+        code = _decode(self.program, self.costs)
+        n_instrs = len(code)
+        budget = TRACE_BUDGET
+        dag = self.dag
+        access = self._access
         counts = [0] * len(_OPS)
         cycles = 0
         regs: list = [0] * NUM_REGS
@@ -382,96 +461,85 @@ class _Specializer:
         executed = 0
 
         while True:
-            if executed >= TRACE_BUDGET:
+            if executed >= budget:
                 raise _Decline(
-                    f"one execution exceeds the {TRACE_BUDGET}-instruction "
+                    f"one execution exceeds the {budget}-instruction "
                     f"specialization budget"
                 )
-            try:
-                instr = instrs[pc]
-            except IndexError:
-                raise _Decline(f"pc {pc} out of range") from None
+            if not 0 <= pc < n_instrs:
+                raise _Decline(f"pc {pc} out of range")
+            kind, ordinal, a, b, c, plain, taken, extra = code[pc]
             executed += 1
-            op = instr.op
-            ops = instr.operands
-            op_ordinal = _OP_INDEX[op]
-            counts[op_ordinal] += 1
+            counts[ordinal] += 1
 
-            if op is Op.HALT:
-                cycles += plain_cost[op_ordinal]
-                break
-            if op in BRANCH_OPS:
-                if flags is None and op is not Op.B:
+            if kind == _K_MEM:
+                access(pc, a, b, c, extra, regs)
+            elif kind == _K_ADDI:
+                x = regs[b]
+                regs[a] = (
+                    (x + c) & _MASK32 if isinstance(x, int) else _v_add(x, c)
+                )
+            elif kind == _K_BCOND:
+                if flags is None:
                     raise _Decline(
                         "branch at pc "
                         f"{pc} depends on input data (symbolic flags)"
                     )
-                if op is Op.B or _branch_taken(op, *flags):
-                    cycles += taken_cost[op_ordinal]
-                    pc = int(ops[0])
+                if extra[flags]:
+                    cycles += taken
+                    pc = a
+                    continue
+            elif kind == _K_SUBSI:
+                x = regs[b]
+                if isinstance(x, int):
+                    regs[a] = (x - c) & _MASK32
+                    flags = subtract_flags(_to_signed(x), c)
                 else:
-                    cycles += plain_cost[op_ordinal]
-                    pc += 1
-                continue
-
-            if op is Op.MOVI:
-                regs[ops[0]] = int(ops[1]) & _MASK32
-            elif op is Op.MOV:
-                regs[ops[0]] = regs[ops[1]]
-            elif op is Op.ADD:
-                regs[ops[0]] = _v_add(regs[ops[1]], regs[ops[2]])
-            elif op is Op.ADDI:
-                regs[ops[0]] = _v_add(regs[ops[1]], int(ops[2]) & _MASK32)
-            elif op is Op.SUB:
-                regs[ops[0]] = _v_sub(regs[ops[1]], regs[ops[2]])
-            elif op is Op.SUBI:
-                regs[ops[0]] = _v_sub(regs[ops[1]], int(ops[2]) & _MASK32)
-            elif op is Op.MUL:
-                regs[ops[0]] = self._mul(regs[ops[1]], regs[ops[2]])
-            elif op is Op.LSLI:
-                regs[ops[0]] = self._shift(regs[ops[1]], int(ops[2]), "shl")
-            elif op is Op.LSRI:
-                regs[ops[0]] = self._shift(regs[ops[1]], int(ops[2]), "shr")
-            elif op is Op.ASRI:
-                regs[ops[0]] = self._shift(regs[ops[1]], int(ops[2]), "sar")
-            elif op is Op.AND:
-                regs[ops[0]] = _v_bitop(
-                    self.dag, "and", regs[ops[1]], regs[ops[2]]
-                )
-            elif op is Op.ORR:
-                regs[ops[0]] = _v_bitop(
-                    self.dag, "or", regs[ops[1]], regs[ops[2]]
-                )
-            elif op is Op.EOR:
-                regs[ops[0]] = _v_bitop(
-                    self.dag, "xor", regs[ops[1]], regs[ops[2]]
-                )
-            elif op is Op.SUBSI:
-                lhs = regs[ops[1]]
-                rhs = int(ops[2])
-                regs[ops[0]] = _v_sub(lhs, rhs & _MASK32)
+                    regs[a] = _v_add(x, -c & _MASK32)
+                    flags = None
+            elif kind == _K_ADD:
+                x, y = regs[b], regs[c]
+                if isinstance(x, int) and isinstance(y, int):
+                    regs[a] = (x + y) & _MASK32
+                else:
+                    regs[a] = _v_add(x, y)
+            elif kind == _K_SUB:
+                x, y = regs[b], regs[c]
+                if isinstance(x, int) and isinstance(y, int):
+                    regs[a] = (x - y) & _MASK32
+                else:
+                    regs[a] = _v_sub(x, y)
+            elif kind == _K_CMP:
+                x, y = regs[a], regs[b]
                 flags = (
-                    subtract_flags(_to_signed(lhs), rhs)
-                    if isinstance(lhs, int) else None
-                )
-            elif op is Op.CMP:
-                lhs, rhs = regs[ops[0]], regs[ops[1]]
-                flags = (
-                    subtract_flags(_to_signed(lhs), _to_signed(rhs))
-                    if isinstance(lhs, int) and isinstance(rhs, int)
+                    subtract_flags(_to_signed(x), _to_signed(y))
+                    if isinstance(x, int) and isinstance(y, int)
                     else None
                 )
-            elif op is Op.CMPI:
-                lhs = regs[ops[0]]
+            elif kind == _K_CMPI:
+                x = regs[a]
                 flags = (
-                    subtract_flags(_to_signed(lhs), int(ops[1]))
-                    if isinstance(lhs, int) else None
+                    subtract_flags(_to_signed(x), b)
+                    if isinstance(x, int) else None
                 )
-            elif op in LOAD_OPS or op in STORE_OPS:
-                self._access(instr, regs, pc)
-            else:  # pragma: no cover - all opcodes handled above
-                raise _Decline(f"unhandled opcode {op!r}")
-            cycles += plain_cost[op_ordinal]
+            elif kind == _K_MOVI:
+                regs[a] = b
+            elif kind == _K_MOV:
+                regs[a] = regs[b]
+            elif kind == _K_SHIFT:
+                regs[a] = self._shift(regs[b], c, extra)
+            elif kind == _K_MUL:
+                regs[a] = self._mul(regs[b], regs[c])
+            elif kind == _K_BITOP:
+                regs[a] = _v_bitop(dag, extra, regs[b], regs[c])
+            elif kind == _K_B:
+                cycles += taken
+                pc = a
+                continue
+            else:  # _K_HALT
+                cycles += plain
+                break
+            cycles += plain
             pc += 1
 
         op_counts = {_OPS[i]: c for i, c in enumerate(counts) if c}
@@ -519,41 +587,48 @@ class _Specializer:
 
     # -- memory -----------------------------------------------------------
 
-    def _access(self, instr, regs: list, pc: int) -> None:
-        op = instr.op
-        ops = instr.operands
-        width = ACCESS_WIDTH[op]
-        offset = (
-            regs[ops[2]] if instr.offset_is_reg else int(ops[2]) & _MASK32
-        )
-        addr = _v_add(regs[ops[1]], offset)
-        if not isinstance(addr, int):
-            raise _Decline(
-                f"address at pc {pc} depends on input data"
-            )
-        region_index = None
-        for j, region in enumerate(self.regions):
-            if region.contains(addr, width):
-                region_index = j
-                break
-        if region_index is None:
-            raise _Decline(
-                f"unmapped {width}-byte access at 0x{addr:08x} "
-                f"(error path runs on the interpreter)"
-            )
+    def _access(
+        self, pc: int, rd: int, rn: int, offset, mem: tuple, regs: list
+    ) -> None:
+        width, is_load, signed, offset_is_reg = mem
+        base = regs[rn]
+        if offset_is_reg:
+            offset = regs[offset]
+        if isinstance(base, int) and isinstance(offset, int):
+            addr = (base + offset) & _MASK32
+        else:
+            addr = _v_add(base, offset)
+            if not isinstance(addr, int):
+                raise _Decline(
+                    f"address at pc {pc} depends on input data"
+                )
+        # Regions do not overlap, so the last hit is the only match
+        # whenever it contains the access.
+        region_index = self.last_region[pc]
+        lo, hi = self.bounds[region_index]
+        if not (lo <= addr and addr + width <= hi):
+            for region_index, (lo, hi) in enumerate(self.bounds):
+                if lo <= addr and addr + width <= hi:
+                    break
+            else:
+                raise _Decline(
+                    f"unmapped {width}-byte access at 0x{addr:08x} "
+                    f"(error path runs on the interpreter)"
+                )
+            self.last_region[pc] = region_index
         region = self.regions[region_index]
         cell = addr - region.base
-        if op in LOAD_OPS:
+        if is_load:
             counters = self.traffic[region_index]
             counters[0] += 1
             counters[1] += width
-            signed = op in SIGNED_LOADS
             if not region.writable:
-                raw = bytes(region.data[cell:cell + width])
-                value = int.from_bytes(raw, "little", signed=signed)
-                regs[ops[0]] = value & _MASK32
+                value = int.from_bytes(
+                    region.data[cell:cell + width], "little", signed=signed
+                )
+                regs[rd] = value & _MASK32
             else:
-                regs[ops[0]] = self._load_symbolic(
+                regs[rd] = self._load_symbolic(
                     region_index, cell, width, signed
                 )
             return
@@ -565,7 +640,7 @@ class _Specializer:
         counters = self.traffic[region_index]
         counters[2] += 1
         counters[3] += width
-        self._store_symbolic(region_index, cell, width, regs[ops[0]])
+        self._store_symbolic(region_index, cell, width, regs[rd])
 
     def _load_symbolic(self, j: int, off: int, width: int, signed: bool):
         overlay = self.overlay[j]

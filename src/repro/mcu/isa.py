@@ -127,6 +127,8 @@ ACCESS_WIDTH = {
 
 #: Memory opcodes that sign-extend the loaded value.
 SIGNED_LOADS = frozenset({Op.LDRSH, Op.LDRSB})
+#: Shifts by an immediate amount (``rd <- rn shift imm``).
+SHIFT_OPS = frozenset({Op.LSLI, Op.LSRI, Op.ASRI})
 
 
 @dataclass(frozen=True)
@@ -329,6 +331,11 @@ class Assembler:
                         f"unknown branch target {target!r} in {self.name!r}"
                     )
                 operands = (self._labels[target],)
+            elif op in SHIFT_OPS and operands[2] < 0:
+                raise AssemblyError(
+                    f"negative shift immediate {operands[2]} in "
+                    f"{op.value} of {self.name!r}"
+                )
             resolved.append(Instr(op, operands, offset_is_reg))
         if not resolved or resolved[-1].op is not Op.HALT:
             raise AssemblyError(

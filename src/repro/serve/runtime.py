@@ -89,10 +89,10 @@ class ServeConfig:
     max_queue_wait_ms: float | None = None
     power_budget: PowerBudget | None = None
     fault_plan: FaultPlan | None = None
-    #: Execution engine for every device replica: ``"fastpath"`` (the
-    #: translating engine, default), ``"fastpath-v2"`` (content-
-    #: specialized + batch-fused dispatch), or ``"interpreter"``
-    #: (reference CPU).
+    #: Execution engine for every device replica: ``"fastpath-v2"``
+    #: (content-specialized + batch-fused dispatch, default),
+    #: ``"fastpath"`` (tier-1 translating engine, row by row), or
+    #: ``"interpreter"`` (reference CPU).
     engine: str = DEFAULT_ENGINE
     #: Track namespace stamped on every span (``"fleet-0"``), so multiple
     #: runtimes tracing in one process export distinguishable tracks.

@@ -26,6 +26,7 @@ from repro.mcu.fastpath import (
     DEFAULT_ENGINE,
     ENGINES,
     FastCPU,
+    SpecializedCPU,
     clear_translation_cache,
     make_cpu,
     translate,
@@ -393,7 +394,7 @@ class TestEngineSelection:
     def test_board_make_cpu_uses_board_costs(self):
         memory = STM32F072RB.make_memory()
         cpu = STM32F072RB.make_cpu(memory)
-        assert isinstance(cpu, FastCPU)
+        assert isinstance(cpu, SpecializedCPU)    # the default engine
         assert cpu.costs == STM32F072RB.costs
         interp = STM32F072RB.make_cpu(memory, engine="interpreter")
         assert type(interp) is CPU

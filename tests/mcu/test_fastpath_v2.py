@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.adjacency import clustered_adjacency
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, MemoryMapError
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
 from repro.kernels.codegen_unrolled import generate_dense_unrolled
@@ -35,8 +35,10 @@ from repro.mcu.fastpath import (
     translate,
     translate_v2,
     translation_cache_stats,
+    why_declined,
     why_declined_v2,
 )
+from repro.mcu import fastpath_v2
 from repro.mcu.fastpath_v2 import (
     SpecializedProgram,
     charge_batch_traffic,
@@ -417,6 +419,90 @@ class TestTierSelection:
         cpu = make_cpu(memory, engine="fastpath-v2")
         with pytest.raises(ExecutionError, match="out of range"):
             cpu.run(program)
+        assert cpu.last_engine == "interpreter"
+
+    def test_negative_branch_target_is_out_of_range(self):
+        # ``B -1`` must fail like any other bad pc, not index the
+        # program from its end (which would loop back to the HALT).
+        program = Program(
+            (
+                Instr(Op.MOVI, (Reg.R0, 7)),
+                Instr(Op.B, (-1,)),
+                Instr(Op.MOVI, (Reg.R0, 9)),
+                Instr(Op.HALT, ()),
+            ),
+            {}, "negative-target",
+        )
+        memory = MemoryMap.stm32()
+        assert why_declined_v2(program, memory) == "pc -1 out of range"
+        assert "invalid target -1" in why_declined(program, memory)
+        for engine in ("interpreter", "fastpath", "fastpath-v2"):
+            cpu = make_cpu(MemoryMap.stm32(), engine=engine)
+            with pytest.raises(
+                ExecutionError,
+                match=r"pc -1 out of range in 'negative-target'",
+            ):
+                cpu.run(program)
+            if engine != "interpreter":
+                assert cpu.last_engine == "interpreter"
+
+    def test_trace_budget_declines_to_interpreter(self, monkeypatch):
+        asm = Assembler("over-budget")
+        asm.movi(Reg.R1, 10)
+        asm.label("loop")
+        asm.subsi(Reg.R1, Reg.R1, 1)
+        asm.bgt("loop")
+        asm.halt()                               # 22 instructions run
+        program = asm.assemble()
+        clear_translation_cache()
+        monkeypatch.setattr(fastpath_v2, "TRACE_BUDGET", 8)
+        try:
+            memory = MemoryMap.stm32()
+            assert why_declined_v2(program, memory) == (
+                "one execution exceeds the 8-instruction specialization "
+                "budget"
+            )
+            cpu = make_cpu(memory, engine="fastpath-v2")
+            got = cpu.run(program)
+            assert cpu.last_engine == "interpreter"
+            ref, _ = _interp_run(program, b"", None)
+            _assert_results_equal(got, ref)
+            assert got.instructions == 22
+        finally:
+            clear_translation_cache()           # forget the low-budget decline
+
+    @pytest.mark.parametrize("build, reason", [
+        (
+            lambda asm: (
+                asm.movi(Reg.R7, 0x1000_0000),
+                asm.ldrh(Reg.R0, Reg.R7, 2),
+            ),
+            "unmapped 2-byte access at 0x10000002 "
+            "(error path runs on the interpreter)",
+        ),
+        (
+            lambda asm: (
+                asm.movi(Reg.R7, 0x0800_0000),
+                asm.strb(Reg.R0, Reg.R7, 4),
+            ),
+            "store to read-only region 'flash' "
+            "(error path runs on the interpreter)",
+        ),
+    ], ids=["unmapped", "read-only-store"])
+    def test_error_path_declines_to_interpreter(self, build, reason):
+        asm = Assembler("error-path")
+        asm.movi(Reg.R0, 1)
+        build(asm)
+        asm.halt()
+        program = asm.assemble()
+        memory = MemoryMap.stm32()
+        assert why_declined_v2(program, memory) == reason
+        with pytest.raises(MemoryMapError) as expected:
+            make_cpu(MemoryMap.stm32(), engine="interpreter").run(program)
+        cpu = make_cpu(memory, engine="fastpath-v2")
+        with pytest.raises(MemoryMapError) as got:
+            cpu.run(program)
+        assert str(got.value) == str(expected.value)
         assert cpu.last_engine == "interpreter"
 
     def test_instruction_cap_respected(self):

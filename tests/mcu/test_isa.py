@@ -49,6 +49,20 @@ class TestAssembler:
         with pytest.raises(AssemblyError, match="duplicate"):
             asm.label("x")
 
+    @pytest.mark.parametrize("shift", ["lsli", "lsri", "asri"])
+    def test_negative_shift_immediate_raises(self, shift):
+        # Rejected before it runs: every engine would otherwise die on
+        # Python's untyped "negative shift count".
+        asm = Assembler("bad-shift")
+        getattr(asm, shift)(Reg.R0, Reg.R1, -1)
+        asm.halt()
+        with pytest.raises(AssemblyError, match="negative shift immediate -1"):
+            asm.assemble()
+        ok = Assembler("zero-shift")
+        getattr(ok, shift)(Reg.R0, Reg.R1, 0)
+        ok.halt()
+        assert ok.assemble().instructions[0].operands[2] == 0
+
     def test_missing_halt_raises(self):
         asm = Assembler("nohalt")
         asm.movi(Reg.R0, 1)

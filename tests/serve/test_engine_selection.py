@@ -1,10 +1,10 @@
 """Engine selection through the deploy/serve stack.
 
-The fastpath engine is the default everywhere; these tests pin the
-switch points — ``DeployedModel(engine=...)``, ``replica(engine=...)``,
-``ServeConfig.engine`` — and that a fastpath fleet produces the same
-simulated numbers as an interpreter fleet (the engines only differ in
-host wall-clock, never in simulated cycles).
+The tier-2 engine (``fastpath-v2``) is the default everywhere; these
+tests pin the switch points — ``DeployedModel(engine=...)``,
+``replica(engine=...)``, ``ServeConfig.engine`` — and that a fastpath
+fleet produces the same simulated numbers as an interpreter fleet (the
+engines only differ in host wall-clock, never in simulated cycles).
 """
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.mcu.cpu import CPU
 from repro.mcu.fastpath import (
-    FastCPU,
+    SpecializedCPU,
     clear_translation_cache,
     translation_cache_stats,
 )
@@ -22,7 +22,8 @@ from repro.serve import ServeConfig, ServeRuntime, synthetic_trace
 class TestDeployedModelEngine:
     def test_fastpath_is_the_default(self, small_artifact):
         replica = small_artifact.replica()
-        assert isinstance(replica._cpu, FastCPU)
+        assert replica.engine == "fastpath-v2"
+        assert isinstance(replica._cpu, SpecializedCPU)
 
     def test_replica_engine_override(self, small_artifact):
         replica = small_artifact.replica(engine="interpreter")
@@ -70,7 +71,7 @@ class TestDeployedModelEngine:
 
 class TestServeConfigEngine:
     def test_default_and_validation(self):
-        assert ServeConfig().engine == "fastpath"
+        assert ServeConfig().engine == "fastpath-v2"
         assert ServeConfig(engine="interpreter").engine == "interpreter"
         with pytest.raises(ConfigurationError, match="unknown engine"):
             ServeConfig(engine="jit")

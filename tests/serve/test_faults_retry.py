@@ -110,9 +110,10 @@ class TestDeviceBrownout:
 class TestDeviceRun:
     """Step 2 of serving a batch: one device call for the placed rows."""
 
-    def _placed(self, artifact, digits, n):
+    def _placed(self, artifact, digits, n, engine=None):
         device = SimulatedDevice(
             device_id=0, artifact=artifact, tracer=TraceCollector(),
+            engine=engine,
         )
         attempts = [
             device.place(InferenceRequest(
@@ -132,7 +133,9 @@ class TestDeviceRun:
     def test_rows_with_different_cycles_fail_the_batch(
         self, small_artifact, digits_small, monkeypatch
     ):
-        device, attempts = self._placed(small_artifact, digits_small, 3)
+        device, attempts = self._placed(
+            small_artifact, digits_small, 3, engine="interpreter"
+        )
         assert not device.deployed.infer_batch(
             digits_small.x_test[:2]
         ).fused                              # the row-by-row engine

@@ -143,16 +143,17 @@ class TestRefcountedEviction:
 
         registry = ModelRegistry()
         artifact = registry.register(small_trained.quantized)
-        # register() warms one tier-1 translation per layer program.
-        # (Assert per tier: earlier tests may have left tier-2 entries
-        # for this model, which release() also drops — pinned by
-        # test_last_release_evicts_both_translation_tiers below.)
-        before = translation_cache_stats()["v1"]["entries"]
+        # register() warms one tier-2 specialization per layer program
+        # on the default engine.  (Assert per tier: earlier tests may
+        # have left tier-1 entries for this model, which release() also
+        # drops — pinned by test_last_release_evicts_both_translation_tiers
+        # below.)
+        before = translation_cache_stats()["v2"]["entries"]
         assert registry.release(artifact.model_id) is True
         assert registry.refcount(artifact.model_id) == 0
         assert len(registry) == 0
         assert registry.evictions == 1
-        after = translation_cache_stats()["v1"]["entries"]
+        after = translation_cache_stats()["v2"]["entries"]
         assert after == before - len(artifact.deployed.images)
         with pytest.raises(ConfigurationError):
             registry.get(artifact.model_id)
